@@ -19,7 +19,7 @@
 //! * `shuffle`     — all-to-all 16 KiB exchange, ~960 concurrent QPs; the
 //!   task-count / ready-queue stress.
 //! * `lossy-retx`  — the incast on a small-buffer tail-dropping fat tree
-//!   with RC retransmission armed: the go-back-N window, sequence NAKs,
+//!   with RC retransmission armed: the go-back-N window, gap notices,
 //!   and tombstone-cancelled retransmit timers on the hot path. Its
 //!   digest line additionally pins the drop/replay counters.
 //! * `lossy-retx-spray` — the same lossy fan-in under per-packet spray

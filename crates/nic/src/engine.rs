@@ -13,12 +13,14 @@
 //! the bottleneck (DMA or wire) rate instead of queueing unboundedly.
 //!
 //! ## RX path
-//! A single RX task serializes per-packet processing, validates memory
+//! A single RX task serializes per-packet processing, asks the QP's
+//! receive window for a verdict on each request arrival (one handler per
+//! request kind, whatever the retransmission mode), validates memory
 //! access (MR table), lands payloads via DMA, and generates CQEs/ACKs *at
 //! the DMA completion instant* — data is visible in memory before its
 //! completion, the ordering RDMA applications rely on.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, RefCell, RefMut};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
@@ -31,11 +33,11 @@ use cord_sim::{FifoResource, Sim, SimDuration, SimTime, Subsystem, Trace, TraceK
 
 use crate::cc::{CcAlgorithm, Dcqcn, CNP_MIN_INTERVAL};
 use crate::cq::{Cq, Cqe, CqeOpcode, CqeStatus};
-use crate::mr::{MrError, MrTable};
+use crate::mr::MrTable;
 use crate::packet::{NakReason, Packet, PacketKind};
 use crate::qp::{
-    PendingAck, PendingRead, Qp, RecvAssembly, RetxConfig, RetxEntry, RetxMode, RetxState, RxSeq,
-    SrAction, SrKind, TxProgress,
+    Action, Kind, PendingAck, PendingRead, Qp, RecvAssembly, RetxConfig, RetxEntry, RetxMode,
+    RetxState, TxProgress,
 };
 use crate::types::{CqId, NodeId, Opcode, QpNum, QpState, Transport, VerbsError};
 use crate::wqe::{RecvWqe, SendWqe};
@@ -248,13 +250,14 @@ impl Nic {
         Ok(self.qp(qpn)?.borrow().cc())
     }
 
-    /// Arm (or disarm, with `None`) RC retransmission on a QP: a go-back-N
-    /// unacked window with a per-QP retransmit timer on the sender side,
-    /// and in-order sequence tracking with coalesced sequence NAKs on the
-    /// receiver side. Like the DCQCN knob it must be set symmetrically on
-    /// both ends of a connection before traffic flows, and like DCQCN it
-    /// is accepted but inert on UD QPs (datagrams have no ACK protocol to
-    /// retransmit from).
+    /// Arm (or disarm, with `None`) RC retransmission on a QP: an unacked
+    /// window with a per-QP retransmit timer on the sender side, and a
+    /// receive window with `cfg.mode` as its acceptance rule and one
+    /// coalesced gap notice per episode on the receiver side. Disarming
+    /// cancels both of the QP's timers. Like the DCQCN knob it must be set
+    /// symmetrically on both ends of a connection before traffic flows,
+    /// and like DCQCN it is accepted but inert on UD QPs (datagrams have no
+    /// ACK protocol to retransmit from).
     pub fn set_rc_retx(&self, qpn: QpNum, cfg: Option<RetxConfig>) -> Result<(), VerbsError> {
         let qp = self.qp(qpn)?;
         let mut qp = qp.borrow_mut();
@@ -262,25 +265,19 @@ impl Nic {
             return Ok(());
         }
         // Arming after traffic has flowed cannot work: pre-arm messages
-        // are outside the window and the fresh receiver sequence state
+        // are outside the window and the fresh receive window
         // misaligns with the peer's message ids — a silent deadlock.
         // Reject it like any out-of-order `ibv_modify_qp`.
         if cfg.is_some()
-            && (qp.next_msg_id > 1
-                || qp.rx_msgs > 0
-                || qp.tx.is_some()
-                || qp.cur_recv.is_some()
-                || !qp.sr_recv.is_empty())
+            && (qp.next_msg_id > 1 || qp.rx_msgs > 0 || qp.tx.is_some() || !qp.recv_asm.is_empty())
         {
             return Err(VerbsError::InvalidState {
                 expected: "no prior traffic (arm retransmission at connect)",
                 actual: qp.state,
             });
         }
-        if let Some(rx) = qp.retx.take() {
-            if let Some(h) = rx.timer {
-                self.inner.sim.cancel_scheduled(h);
-            }
+        if let Some(mut rx) = qp.retx.take() {
+            rx.cancel_timers(&self.inner.sim);
         }
         qp.retx = cfg.map(RetxState::new);
         Ok(())
@@ -473,10 +470,6 @@ fn frag_info(k: &PacketKind) -> Option<(u32, u32)> {
     }
 }
 
-fn push_cqe(cq: &Cq, cqe: Cqe) {
-    cq.push(cqe);
-}
-
 /// Size of a CQE on the wire to host memory.
 const CQE_BYTES: usize = 64;
 
@@ -501,29 +494,16 @@ fn deliver_cqe(inner: &Rc<NicInner>, cq: &Cq, cqe: Cqe) {
 }
 
 fn flush_qp(inner: &Rc<NicInner>, qp: &mut Qp) {
-    // Tear down retransmission: cancel the pending timer (tombstone in
-    // the wheel) and drop the window — errored QPs never replay.
+    // Tear down retransmission: cancel the pending timers and drop the
+    // window — errored QPs never replay.
     if let Some(rx) = qp.retx.as_mut() {
-        if let Some(h) = rx.timer.take() {
-            inner.sim.cancel_scheduled(h);
-        }
-        if let Some(h) = rx.rnr_timer.take() {
-            inner.sim.cancel_scheduled(h);
-        }
+        rx.cancel_timers(&inner.sim);
         rx.window.clear();
         rx.rtx.clear();
         rx.rtx_mask.clear();
     }
-    let flush_cqe = |qp: &Qp, wr_id, opcode: CqeOpcode| Cqe {
-        wr_id,
-        status: CqeStatus::WrFlushErr,
-        opcode,
-        byte_len: 0,
-        qp: qp.num,
-        imm: None,
-        src_qp: None,
-        src_node: None,
-    };
+    let qpn = qp.num;
+    let flush_cqe = |wr_id, opcode| Cqe::new(wr_id, CqeStatus::WrFlushErr, opcode, 0, qpn);
     // Outstanding (already transmitted, awaiting ACK/response) WQEs flush
     // too — IB errors out *every* posted WR, not just the still-queued
     // ones. Drained in message order: HashMap iteration order is not
@@ -533,14 +513,14 @@ fn flush_qp(inner: &Rc<NicInner>, qp: &mut Qp) {
     let acked_msgs: Vec<u64> = acks.iter().map(|(m, _)| *m).collect();
     for (_, pa) in acks {
         if pa.signaled {
-            push_cqe(&qp.send_cq, flush_cqe(qp, pa.wr_id, pa.opcode.into()));
+            qp.send_cq.push(flush_cqe(pa.wr_id, pa.opcode.into()));
         }
     }
     let mut reads: Vec<(u64, PendingRead)> = qp.pending_reads.drain().collect();
     reads.sort_by_key(|(m, _)| *m);
     for (_, pr) in reads {
         if pr.signaled {
-            push_cqe(&qp.send_cq, flush_cqe(qp, pr.wr_id, CqeOpcode::RdmaRead));
+            qp.send_cq.push(flush_cqe(pr.wr_id, CqeOpcode::RdmaRead));
         }
     }
     qp.outstanding_reads = 0;
@@ -549,55 +529,23 @@ fn flush_qp(inner: &Rc<NicInner>, qp: &mut Qp) {
     // whose first pass already has a pending-ack entry drained above.
     if let Some(tx) = qp.tx.take() {
         if tx.wqe.signaled && !acked_msgs.contains(&tx.msg_id) {
-            push_cqe(
-                &qp.send_cq,
-                flush_cqe(qp, tx.wqe.wr_id, tx.wqe.opcode.into()),
-            );
+            qp.send_cq
+                .push(flush_cqe(tx.wqe.wr_id, tx.wqe.opcode.into()));
         }
     }
-    // A receive WQE bound to a half-assembled inbound message was popped
-    // from the RQ; flush it like the rest of the RQ.
-    if let Some(asm) = qp.cur_recv.take() {
-        push_cqe(&qp.recv_cq, flush_cqe(qp, asm.wqe.wr_id, CqeOpcode::Recv));
-    }
-    // Selective repeat holds several open reassemblies at once, each with
-    // a popped receive WQE; flush them in message order (BTreeMap).
-    let sr_asms = std::mem::take(&mut qp.sr_recv);
-    for (_, asm) in sr_asms {
-        push_cqe(&qp.recv_cq, flush_cqe(qp, asm.wqe.wr_id, CqeOpcode::Recv));
+    // Receive WQEs bound to half-assembled inbound sends were popped from
+    // the RQ; flush them, in message order, ahead of the rest of the RQ.
+    for (_, asm) in std::mem::take(&mut qp.recv_asm) {
+        qp.recv_cq.push(flush_cqe(asm.wqe.wr_id, CqeOpcode::Recv));
     }
     let (sq, rq) = qp.enter_error();
     for w in sq {
         if w.signaled {
-            push_cqe(
-                &qp.send_cq,
-                Cqe {
-                    wr_id: w.wr_id,
-                    status: CqeStatus::WrFlushErr,
-                    opcode: w.opcode.into(),
-                    byte_len: 0,
-                    qp: qp.num,
-                    imm: None,
-                    src_qp: None,
-                    src_node: None,
-                },
-            );
+            qp.send_cq.push(flush_cqe(w.wr_id, w.opcode.into()));
         }
     }
     for r in rq {
-        push_cqe(
-            &qp.recv_cq,
-            Cqe {
-                wr_id: r.wr_id,
-                status: CqeStatus::WrFlushErr,
-                opcode: CqeOpcode::Recv,
-                byte_len: 0,
-                qp: qp.num,
-                imm: None,
-                src_qp: None,
-                src_node: None,
-            },
-        );
+        qp.recv_cq.push(flush_cqe(r.wr_id, CqeOpcode::Recv));
     }
     inner.trace.emit(
         inner.sim.now(),
@@ -608,16 +556,15 @@ fn flush_qp(inner: &Rc<NicInner>, qp: &mut Qp) {
     );
 }
 
-/// ===================== RC retransmission =====================
+/// ===================== RC retransmission: sender =====================
 ///
-/// Sender side of go-back-N. The window holds every unacked WQE in
-/// message order; one timer per QP covers the oldest unacked message and
-/// is re-armed (tombstone-cancel + fresh wheel insert, no allocation) on
-/// every ACK. A timeout or sequence NAK queues every fully transmitted
-/// window entry for replay; the TX scheduler drains that queue ahead of
-/// fresh sends, reusing the original message ids so the receiver's
-/// in-order tracking accepts the replay. Retry exhaustion surfaces as a
-/// `RetryExcErr` completion and flushes the QP.
+/// The window holds every unacked WQE in message order; one timer per QP
+/// covers the oldest unacked message and is re-armed (tombstone-cancel +
+/// fresh wheel insert, no allocation) on every ACK. A timeout or gap
+/// notice (SACK) queues every fully transmitted window entry for replay;
+/// the TX scheduler drains that queue ahead of fresh sends, reusing the
+/// original message ids so the receive window accepts the replay. Retry
+/// exhaustion surfaces as a `RetryExcErr` completion and flushes the QP.
 /// Reset the QP's retransmit timer to `timeout` from now (cancelling any
 /// pending one); disarms when the window is empty.
 fn arm_retx_timer(inner: &Rc<NicInner>, qp: &mut Qp) {
@@ -690,19 +637,13 @@ fn retx_timeout(inner: &Rc<NicInner>, qpn: QpNum) {
         if qp.tx.as_ref().is_some_and(|tx| tx.msg_id == msg_id) {
             qp.tx = None;
         }
-        push_cqe(
-            &qp.send_cq,
-            Cqe {
-                wr_id,
-                status: CqeStatus::RetryExcErr,
-                opcode: opcode.into(),
-                byte_len: 0,
-                qp: qp.num,
-                imm: None,
-                src_qp: None,
-                src_node: None,
-            },
-        );
+        qp.send_cq.push(Cqe::new(
+            wr_id,
+            CqeStatus::RetryExcErr,
+            opcode.into(),
+            0,
+            qpn,
+        ));
         inner.trace.emit(
             inner.sim.now(),
             TraceKind::RetxExhausted {
@@ -722,10 +663,10 @@ fn retx_timeout(inner: &Rc<NicInner>, qpn: QpNum) {
     }
 }
 
-/// Go-back-N trigger from a sequence NAK: replay from the responder's
-/// first missing message (`from`) — older window entries were delivered
-/// and their ACKs are merely in flight, so replaying them would waste
-/// bottleneck bandwidth on duplicates. NAK-triggered replays do not
+/// Replay trigger from a gap notice or RNR backoff: replay from the
+/// responder's first missing message (`from`) — older window entries were
+/// delivered and their ACKs are merely in flight, so replaying them would
+/// waste bottleneck bandwidth on duplicates. NAK-triggered replays do not
 /// consume retries — only silent timeouts do; ACK progress resets the
 /// count.
 fn retx_go_back(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>, from: u64) {
@@ -925,19 +866,14 @@ async fn start_next_wqe(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>) -> StartO
         Ok(mr) => mr,
         Err(_) => {
             let mut qp = qp_rc.borrow_mut();
-            push_cqe(
-                &qp.send_cq,
-                Cqe {
-                    wr_id: wqe.wr_id,
-                    status: CqeStatus::LocalProtErr,
-                    opcode: wqe.opcode.into(),
-                    byte_len: 0,
-                    qp: qp.num,
-                    imm: None,
-                    src_qp: None,
-                    src_node: None,
-                },
+            let cqe = Cqe::new(
+                wqe.wr_id,
+                CqeStatus::LocalProtErr,
+                wqe.opcode.into(),
+                0,
+                qp.num,
             );
+            qp.send_cq.push(cqe);
             if qp.transport == Transport::Rc {
                 flush_qp(inner, &mut qp);
             }
@@ -1103,19 +1039,14 @@ async fn start_replay(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>) -> Option<S
                     // and flush_qp would otherwise emit a second one.
                     let mut qp = qp_rc.borrow_mut();
                     qp.pending_acks.remove(&msg_id);
-                    push_cqe(
-                        &qp.send_cq,
-                        Cqe {
-                            wr_id: wqe.wr_id,
-                            status: CqeStatus::LocalProtErr,
-                            opcode: wqe.opcode.into(),
-                            byte_len: 0,
-                            qp: qp.num,
-                            imm: None,
-                            src_qp: None,
-                            src_node: None,
-                        },
+                    let cqe = Cqe::new(
+                        wqe.wr_id,
+                        CqeStatus::LocalProtErr,
+                        wqe.opcode.into(),
+                        0,
+                        qp.num,
                     );
+                    qp.send_cq.push(cqe);
                     flush_qp(inner, &mut qp);
                     return Some(StartOutcome::Consumed(1));
                 }
@@ -1311,16 +1242,13 @@ async fn emit_fragments(
                     Transport::Ud => {
                         // UD: local completion once the NIC owns the data.
                         if signaled {
-                            let cqe = Cqe {
+                            let cqe = Cqe::new(
                                 wr_id,
-                                status: CqeStatus::Success,
-                                opcode: opcode.into(),
-                                byte_len: total_len,
-                                qp: qp.num,
-                                imm: None,
-                                src_qp: None,
-                                src_node: None,
-                            };
+                                CqeStatus::Success,
+                                opcode.into(),
+                                total_len,
+                                qp.num,
+                            );
                             let cq = qp.send_cq.clone();
                             drop(qp);
                             deliver_cqe(&inner2, &cq, cqe);
@@ -1439,13 +1367,6 @@ fn sack(inner: &Rc<NicInner>, hdr: PktHdr, msg_id: u64, received: u64) {
     );
 }
 
-/// Whether the QP's armed retransmission discipline is selective repeat.
-fn sr_mode(qp: &Qp) -> bool {
-    qp.retx
-        .as_ref()
-        .is_some_and(|rx| rx.cfg.mode == RetxMode::Sr)
-}
-
 /// Echo a congestion notification for an ECN-marked arrival, if the
 /// receiving QP participates in DCQCN and its per-QP CNP budget allows.
 fn maybe_echo_cnp(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>, pkt: &Packet) {
@@ -1548,26 +1469,6 @@ fn handle_packet(inner: &Rc<NicInner>, pkt: Packet) {
     }
 }
 
-/// Receiver-side go-back-N gate for request packets. A no-op
-/// ([`RxSeq::Accept`]) unless retransmission is armed on the QP; emits the
-/// coalesced sequence NAK (naming the first missing message) when the
-/// check reports a fresh gap.
-fn rx_gate(
-    inner: &Rc<NicInner>,
-    qp_rc: &Rc<RefCell<Qp>>,
-    hdr: PktHdr,
-    msg_id: u64,
-    frag: u32,
-    last: bool,
-) -> RxSeq {
-    let decision = qp_rc.borrow_mut().rx_seq_check(msg_id, frag, last);
-    if let RxSeq::Drop { nak: true } = decision {
-        let missing = qp_rc.borrow().rx_expected_msg();
-        nak(inner, hdr, missing, NakReason::Sequence);
-    }
-    decision
-}
-
 fn handle_cnp(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>) {
     let now = inner.sim.now();
     let mut qp = qp_rc.borrow_mut();
@@ -1587,6 +1488,150 @@ fn handle_cnp(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>) {
     }
 }
 
+/// ===================== RC receive window =====================
+///
+/// Every request arrival — send fragment, write fragment, read request —
+/// asks the QP's receive window ([`RxWindow`](crate::qp::RxWindow)) for a
+/// verdict. The window's acceptance rule is the QP's [`RetxMode`]: under
+/// selective repeat fragments install out of order through the idempotent
+/// `GuestMem::install` patch path and each message ACKs individually on
+/// completion; under go-back-N only the next fragment in sequence lands.
+/// Either way one gap notice (a SACK naming the first missing message)
+/// per episode drives the sender's replay, and sends bind receive WQEs in
+/// strict message order at the window's binding floor. QPs without
+/// retransmission keep no window: fragments land in arrival order and a
+/// send binds its WQE at fragment 0. Payload install, CQE and ACK happen
+/// at DMA completion.
+///
+/// Carries out the window's verdict on an arriving request fragment:
+/// emits its gap notice and, for a send with no receive WQE yet, binds at
+/// the floor and asks again.
+#[allow(clippy::too_many_arguments)]
+fn admit(
+    inner: &Rc<NicInner>,
+    qp_rc: &Rc<RefCell<Qp>>,
+    hdr: PktHdr,
+    msg_id: u64,
+    frag: u32,
+    nfrags: u32,
+    kind: Kind,
+    total_len: usize,
+) -> Action {
+    let verdict = || {
+        qp_rc
+            .borrow_mut()
+            .rx_verdict(msg_id, frag, nfrags, kind, total_len)
+    };
+    let Some(mut d) = verdict() else {
+        if kind == Kind::Send && frag == 0 {
+            bind_recv(inner, qp_rc, hdr, msg_id, total_len, true);
+        }
+        return Action::Install {
+            completes: frag + 1 == nfrags,
+        };
+    };
+    if let Some((m, bits)) = d.sack {
+        sack(inner, hdr, m, bits);
+    }
+    if d.action == Action::Unbound {
+        // This fragment classified its message: bind what the floor
+        // allows, then retry the fragment.
+        loop {
+            let next = {
+                let mut qp = qp_rc.borrow_mut();
+                let w = qp.rx_window().expect("verdict came from the window");
+                w.next_bind().map(|m| (m, w.total_len(m)))
+            };
+            let Some((m, len)) = next else { break };
+            if !bind_recv(inner, qp_rc, hdr, m, len, (msg_id, frag) == (m, 0)) {
+                break;
+            }
+        }
+        d = verdict().expect("verdict came from the window");
+        if let Some((m, bits)) = d.sack {
+            sack(inner, hdr, m, bits);
+        }
+    }
+    d.action
+}
+
+/// Bind the RQ's next receive WQE to send message `m` of `total_len`
+/// bytes. A buffer too short rejects the message (LengthError) and the
+/// caller may bind the next one. An empty RQ, or a WQE whose buffer the
+/// MR table refuses, leaves `m` unbound and stops binding; when the
+/// arrival is `m`'s fragment 0 (`first`) an RC QP RNR-NAKs it, bounding
+/// RNR NAKs to one per replay round. Returns whether binding may go on.
+fn bind_recv(
+    inner: &Rc<NicInner>,
+    qp_rc: &Rc<RefCell<Qp>>,
+    hdr: PktHdr,
+    m: u64,
+    total_len: usize,
+    first: bool,
+) -> bool {
+    let mut qp = qp_rc.borrow_mut();
+    let rnr = first && qp.transport == Transport::Rc;
+    let Some(rwqe) = qp.rq.pop_front() else {
+        if rnr {
+            rnr_nak(inner, qp, hdr, m);
+        }
+        return false;
+    };
+    let lprot = Cqe::new(
+        rwqe.wr_id,
+        CqeStatus::LocalProtErr,
+        CqeOpcode::Recv,
+        0,
+        qp.num,
+    );
+    if total_len > rwqe.sge.len {
+        qp.recv_cq.push(lprot);
+        if let Some(w) = qp.rx_window() {
+            w.poison(m, 1, Kind::Send);
+        }
+        let rc = qp.transport == Transport::Rc;
+        drop(qp);
+        if rc {
+            nak(inner, hdr, m, NakReason::LengthError);
+        }
+        return true;
+    }
+    let Ok(mr) = inner
+        .mrs
+        .check_local(rwqe.sge.lkey, rwqe.sge.addr, rwqe.sge.len, true)
+    else {
+        // The WQE is consumed and errored; the message stays unbound so
+        // the post-backoff replay binds the next one.
+        qp.recv_cq.push(lprot);
+        if rnr {
+            rnr_nak(inner, qp, hdr, m);
+        }
+        return false;
+    };
+    qp.recv_asm.insert(
+        m,
+        RecvAssembly {
+            wqe: rwqe,
+            mem: mr.mem,
+        },
+    );
+    if let Some(w) = qp.rx_window() {
+        w.bound(m);
+    }
+    true
+}
+
+/// RNR-NAK message `m`: the receiver has no receive WQE for it. The
+/// window learns of it first (the in-order rule mutes gap notices until
+/// the replay makes progress).
+fn rnr_nak(inner: &Rc<NicInner>, mut qp: RefMut<'_, Qp>, hdr: PktHdr, m: u64) {
+    if let Some(w) = qp.rx_window() {
+        w.rnr();
+    }
+    drop(qp);
+    nak(inner, hdr, m, NakReason::Rnr);
+}
+
 #[allow(clippy::too_many_arguments)]
 fn handle_send_frag(
     inner: &Rc<NicInner>,
@@ -1600,108 +1645,41 @@ fn handle_send_frag(
     payload: PayloadSeg,
     imm: Option<u32>,
 ) {
-    let transport = qp_rc.borrow().transport;
-    if sr_mode(&qp_rc.borrow()) {
-        return sr_handle_send_frag(
-            inner, qp_rc, hdr, msg_id, frag, nfrags, total_len, offset, payload, imm,
-        );
-    }
-    // Lossless-recovery gate: out-of-order arrivals on a retransmitting QP
-    // are dropped (and NAKed once per gap) instead of being reassembled.
-    match rx_gate(inner, qp_rc, hdr, msg_id, frag, frag + 1 == nfrags) {
-        RxSeq::Accept => {}
-        RxSeq::Drop { .. } => return,
-        RxSeq::DupAck => {
+    let completes = match admit(
+        inner,
+        qp_rc,
+        hdr,
+        msg_id,
+        frag,
+        nfrags,
+        Kind::Send,
+        total_len,
+    ) {
+        Action::Install { completes } => completes,
+        Action::Discard { reack: true } => {
             // The whole message already completed; its ACK was lost.
             ack(inner, hdr, msg_id);
             return;
         }
-    }
-    if frag == 0 {
-        // Start of a message: bind a receive WQE.
-        let popped = qp_rc.borrow_mut().rq.pop_front();
-        let Some(rwqe) = popped else {
-            if transport == Transport::Rc {
-                // The in-order gate above already advanced past `msg_id`;
-                // rewind so the post-backoff replay is accepted from
-                // fragment 0 instead of being classified as a duplicate.
-                qp_rc.borrow_mut().rx_rnr_rewind(msg_id);
-                nak(inner, hdr, msg_id, NakReason::Rnr);
-            }
-            return; // UD silently drops
-        };
-        if total_len > rwqe.sge.len {
-            push_cqe(
-                &qp_rc.borrow().recv_cq,
-                Cqe {
-                    wr_id: rwqe.wr_id,
-                    status: CqeStatus::LocalProtErr,
-                    opcode: CqeOpcode::Recv,
-                    byte_len: 0,
-                    qp: qp_rc.borrow().num,
-                    imm: None,
-                    src_qp: None,
-                    src_node: None,
-                },
-            );
-            if transport == Transport::Rc {
-                nak(inner, hdr, msg_id, NakReason::LengthError);
-            }
-            return;
-        }
-        let mr = match inner
-            .mrs
-            .check_local(rwqe.sge.lkey, rwqe.sge.addr, rwqe.sge.len, true)
-        {
-            Ok(mr) => mr,
-            Err(_) => {
-                push_cqe(
-                    &qp_rc.borrow().recv_cq,
-                    Cqe {
-                        wr_id: rwqe.wr_id,
-                        status: CqeStatus::LocalProtErr,
-                        opcode: CqeOpcode::Recv,
-                        byte_len: 0,
-                        qp: qp_rc.borrow().num,
-                        imm: None,
-                        src_qp: None,
-                        src_node: None,
-                    },
-                );
-                if transport == Transport::Rc {
-                    qp_rc.borrow_mut().rx_rnr_rewind(msg_id);
-                    nak(inner, hdr, msg_id, NakReason::Rnr);
-                }
-                return;
-            }
-        };
-        qp_rc.borrow_mut().cur_recv = Some(RecvAssembly {
-            msg_id,
-            wqe: rwqe,
-            received: 0,
-            total_len,
-            mem: mr.mem,
-        });
-    }
-
-    let last = frag + 1 == nfrags;
+        _ => return,
+    };
     let (dst_addr, mem, rwr_id) = {
         let mut qp = qp_rc.borrow_mut();
-        let Some(asm) = &mut qp.cur_recv else { return };
-        if asm.msg_id != msg_id {
-            return; // stale fragment of an aborted message
-        }
-        asm.received += payload.len();
+        // No binding: the message was rejected or found no WQE, or (on a
+        // lossy fabric without retransmission) its fragment 0 was lost.
+        let Some(asm) = qp.recv_asm.get(&msg_id) else {
+            return;
+        };
         let out = (
             asm.wqe.sge.addr + offset as u64,
             asm.mem.clone(),
             asm.wqe.wr_id,
         );
-        // RC delivers in order: once the last fragment has *arrived* the
-        // slot can host the next message, even though this message's DMA
-        // completion (and CQE) is still in flight.
-        if last {
-            qp.cur_recv = None;
+        // Once the last fragment has *arrived* the binding is done, even
+        // though this message's DMA completion (and CQE) is still in
+        // flight.
+        if completes {
+            qp.recv_asm.remove(&msg_id);
         }
         out
     };
@@ -1712,7 +1690,7 @@ fn handle_send_frag(
     inner.sim.schedule_at(dma_done, move |_| {
         mem.install(dst_addr, &payload)
             .expect("validated landing zone");
-        if last {
+        if completes {
             let mut qp = qp2.borrow_mut();
             qp.rx_msgs += 1;
             qp.rx_bytes += total_len as u64;
@@ -1741,330 +1719,6 @@ fn handle_send_frag(
     });
 }
 
-/// ===================== Selective-repeat RX =====================
-///
-/// Fragments install out of order through the idempotent
-/// `GuestMem::install` patch path; each message ACKs individually on
-/// completion so the sender's window drains selectively, and a SACK (one
-/// per gap episode) tells the sender exactly which fragments of the first
-/// missing message to replay. Sends still bind receive WQEs in strict
-/// message order — [`SrRxWindow`](crate::qp::SrRxWindow)'s binding floor —
-/// so WQE↔message pairing is identical to go-back-N delivery.
-/// Bind receive WQEs for sends at the selective-repeat binding floor.
-/// `(arr_msg, arr_frag)` identify the arriving fragment that triggered
-/// the attempt: RNR NAKs fire only when fragment 0 of the stalled message
-/// itself arrives, bounding NAK traffic to one per replay round (the
-/// go-back-N discipline).
-fn sr_bind_ready(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>, hdr: PktHdr, arr: (u64, u32)) {
-    loop {
-        let (m, total_len) = {
-            let mut qp = qp_rc.borrow_mut();
-            let Some(rx) = qp.retx.as_mut() else { return };
-            match rx.sr.next_bind() {
-                Some(m) => (m, rx.sr.total_len(m)),
-                None => return,
-            }
-        };
-        let popped = qp_rc.borrow_mut().rq.pop_front();
-        let Some(rwqe) = popped else {
-            if arr == (m, 0) {
-                nak(inner, hdr, m, NakReason::Rnr);
-            }
-            return;
-        };
-        if total_len > rwqe.sge.len {
-            let mut qp = qp_rc.borrow_mut();
-            push_cqe(
-                &qp.recv_cq,
-                Cqe {
-                    wr_id: rwqe.wr_id,
-                    status: CqeStatus::LocalProtErr,
-                    opcode: CqeOpcode::Recv,
-                    byte_len: 0,
-                    qp: qp.num,
-                    imm: None,
-                    src_qp: None,
-                    src_node: None,
-                },
-            );
-            if let Some(rx) = qp.retx.as_mut() {
-                // Entry exists (the floor pointed at it); nfrags/kind are
-                // only used when creating a missing one.
-                rx.sr.poison(m, 1, SrKind::Send);
-            }
-            drop(qp);
-            nak(inner, hdr, m, NakReason::LengthError);
-            continue;
-        }
-        let mr = match inner
-            .mrs
-            .check_local(rwqe.sge.lkey, rwqe.sge.addr, rwqe.sge.len, true)
-        {
-            Ok(mr) => mr,
-            Err(_) => {
-                let qp = qp_rc.borrow_mut();
-                push_cqe(
-                    &qp.recv_cq,
-                    Cqe {
-                        wr_id: rwqe.wr_id,
-                        status: CqeStatus::LocalProtErr,
-                        opcode: CqeOpcode::Recv,
-                        byte_len: 0,
-                        qp: qp.num,
-                        imm: None,
-                        src_qp: None,
-                        src_node: None,
-                    },
-                );
-                drop(qp);
-                // The WQE is consumed and errored; the message stays
-                // unbound so the post-backoff replay binds the next one.
-                if arr == (m, 0) {
-                    nak(inner, hdr, m, NakReason::Rnr);
-                }
-                return;
-            }
-        };
-        let mut qp = qp_rc.borrow_mut();
-        qp.sr_recv.insert(
-            m,
-            RecvAssembly {
-                msg_id: m,
-                wqe: rwqe,
-                received: 0,
-                total_len,
-                mem: mr.mem,
-            },
-        );
-        if let Some(rx) = qp.retx.as_mut() {
-            rx.sr.bound(m);
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn sr_handle_send_frag(
-    inner: &Rc<NicInner>,
-    qp_rc: &Rc<RefCell<Qp>>,
-    hdr: PktHdr,
-    msg_id: u64,
-    frag: u32,
-    nfrags: u32,
-    total_len: usize,
-    offset: usize,
-    payload: PayloadSeg,
-    imm: Option<u32>,
-) {
-    let on_frag = || {
-        let mut qp = qp_rc.borrow_mut();
-        let rx = qp.retx.as_mut().expect("SR mode implies armed");
-        let d = rx.sr.on_frag(msg_id, frag, nfrags, SrKind::Send);
-        rx.sr.note_total_len(msg_id, total_len);
-        d
-    };
-    let mut d = on_frag();
-    if let Some((m, bits)) = d.sack {
-        sack(inner, hdr, m, bits);
-    }
-    if matches!(d.action, SrAction::Unbound) {
-        // Binding may now be possible (this fragment classified its
-        // message); bind what the floor allows, then retry the fragment.
-        sr_bind_ready(inner, qp_rc, hdr, (msg_id, frag));
-        d = on_frag();
-        if let Some((m, bits)) = d.sack {
-            sack(inner, hdr, m, bits);
-        }
-    }
-    let completes = match d.action {
-        SrAction::Duplicate { reack } => {
-            if reack {
-                ack(inner, hdr, msg_id);
-            }
-            return;
-        }
-        SrAction::Unbound => return,
-        SrAction::Install { completes } => completes,
-    };
-    let (dst_addr, mem, rwr_id) = {
-        let mut qp = qp_rc.borrow_mut();
-        let Some(asm) = qp.sr_recv.get_mut(&msg_id) else {
-            return; // reassembly flushed while the fragment was in flight
-        };
-        asm.received += payload.len();
-        let out = (
-            asm.wqe.sge.addr + offset as u64,
-            asm.mem.clone(),
-            asm.wqe.wr_id,
-        );
-        if completes {
-            qp.sr_recv.remove(&msg_id);
-        }
-        out
-    };
-    let dma_done = inner.dma.enqueue(DmaDir::ToHost, payload.len());
-    let inner2 = Rc::clone(inner);
-    let qp2 = Rc::clone(qp_rc);
-    inner.sim.schedule_at(dma_done, move |_| {
-        mem.install(dst_addr, &payload)
-            .expect("validated landing zone");
-        if completes {
-            let mut qp = qp2.borrow_mut();
-            qp.rx_msgs += 1;
-            qp.rx_bytes += total_len as u64;
-            let cqe = Cqe {
-                wr_id: rwr_id,
-                status: CqeStatus::Success,
-                opcode: if imm.is_some() {
-                    CqeOpcode::RecvWithImm
-                } else {
-                    CqeOpcode::Recv
-                },
-                byte_len: total_len,
-                qp: qp.num,
-                imm,
-                src_qp: Some(hdr.src_qpn),
-                src_node: Some(hdr.src_node),
-            };
-            let recv_cq = qp.recv_cq.clone();
-            drop(qp);
-            deliver_cqe(&inner2, &recv_cq, cqe);
-            ack(&inner2, hdr, msg_id);
-        }
-    });
-}
-
-#[allow(clippy::too_many_arguments)]
-fn sr_handle_write_frag(
-    inner: &Rc<NicInner>,
-    qp_rc: &Rc<RefCell<Qp>>,
-    hdr: PktHdr,
-    msg_id: u64,
-    frag: u32,
-    nfrags: u32,
-    total_len: usize,
-    raddr: u64,
-    rkey: crate::types::RKey,
-    offset: usize,
-    payload: PayloadSeg,
-    imm: Option<u32>,
-) {
-    // Validate before touching the window so a rejected fragment never
-    // marks its receive bit: the whole-message range on first contact
-    // (go-back-N checks it on fragment 0), then the fragment's own range.
-    let fresh = {
-        let qp = qp_rc.borrow();
-        !qp.retx
-            .as_ref()
-            .expect("SR mode implies armed")
-            .sr
-            .knows(msg_id)
-    };
-    if fresh
-        && inner
-            .mrs
-            .check_remote(rkey, raddr, total_len, true)
-            .is_err()
-    {
-        if let Some(rx) = qp_rc.borrow_mut().retx.as_mut() {
-            rx.sr.poison(msg_id, nfrags, SrKind::Write);
-        }
-        nak(inner, hdr, msg_id, NakReason::RemoteAccess);
-        return;
-    }
-    let mr = match inner
-        .mrs
-        .check_remote(rkey, raddr + offset as u64, payload.len(), true)
-    {
-        Ok(mr) => mr,
-        Err(_) => {
-            nak(inner, hdr, msg_id, NakReason::RemoteAccess);
-            return;
-        }
-    };
-    // Write-with-immediate consumes a receive WQE at completion, and the
-    // out-of-order window has no rewind — so check availability before
-    // committing the completing fragment, and RNR-NAK it back instead.
-    if imm.is_some() {
-        let rnr = {
-            let qp = qp_rc.borrow();
-            let rx = qp.retx.as_ref().expect("SR mode implies armed");
-            rx.sr.completes_with(msg_id, frag, nfrags) && qp.rq.is_empty()
-        };
-        if rnr {
-            nak(inner, hdr, msg_id, NakReason::Rnr);
-            return;
-        }
-    }
-    let d = {
-        let mut qp = qp_rc.borrow_mut();
-        let rx = qp.retx.as_mut().expect("SR mode implies armed");
-        rx.sr.on_frag(msg_id, frag, nfrags, SrKind::Write)
-    };
-    if let Some((m, bits)) = d.sack {
-        sack(inner, hdr, m, bits);
-    }
-    let completes = match d.action {
-        SrAction::Duplicate { reack } => {
-            if reack {
-                ack(inner, hdr, msg_id);
-            }
-            return;
-        }
-        SrAction::Unbound => return, // unreachable: writes never bind
-        SrAction::Install { completes } => completes,
-    };
-    let dma_done = inner.dma.enqueue(DmaDir::ToHost, payload.len());
-    let inner2 = Rc::clone(inner);
-    let qp2 = Rc::clone(qp_rc);
-    let dst = raddr + offset as u64;
-    inner.sim.schedule_at(dma_done, move |_| {
-        mr.mem
-            .install(dst, &payload)
-            .expect("validated remote range");
-        if completes {
-            {
-                let mut qp = qp2.borrow_mut();
-                qp.rx_msgs += 1;
-                qp.rx_bytes += total_len as u64;
-            }
-            if let Some(imm) = imm {
-                let popped = qp2.borrow_mut().rq.pop_front();
-                match popped {
-                    Some(rwqe) => {
-                        let (cq, cqe) = {
-                            let qp = qp2.borrow();
-                            (
-                                qp.recv_cq.clone(),
-                                Cqe {
-                                    wr_id: rwqe.wr_id,
-                                    status: CqeStatus::Success,
-                                    opcode: CqeOpcode::RecvWithImm,
-                                    byte_len: total_len,
-                                    qp: qp.num,
-                                    imm: Some(imm),
-                                    src_qp: Some(hdr.src_qpn),
-                                    src_node: Some(hdr.src_node),
-                                },
-                            )
-                        };
-                        deliver_cqe(&inner2, &cq, cqe);
-                    }
-                    None => {
-                        // Pre-checked at arrival; only two immediates
-                        // completing in the same instant can land here.
-                        // Withhold the ACK — the replay's duplicate pass
-                        // re-ACKs, degrading to a lost-CQE corner rather
-                        // than corrupting WQE pairing.
-                        nak(&inner2, hdr, msg_id, NakReason::Rnr);
-                        return;
-                    }
-                }
-            }
-            ack(&inner2, hdr, msg_id);
-        }
-    });
-}
-
 #[allow(clippy::too_many_arguments)]
 fn handle_write_frag(
     inner: &Rc<NicInner>,
@@ -2080,51 +1734,54 @@ fn handle_write_frag(
     payload: PayloadSeg,
     imm: Option<u32>,
 ) {
-    if sr_mode(&qp_rc.borrow()) {
-        return sr_handle_write_frag(
-            inner, qp_rc, hdr, msg_id, frag, nfrags, total_len, raddr, rkey, offset, payload, imm,
-        );
-    }
-    match rx_gate(inner, qp_rc, hdr, msg_id, frag, frag + 1 == nfrags) {
-        RxSeq::Accept => {}
-        RxSeq::Drop { .. } => return,
-        RxSeq::DupAck => {
-            ack(inner, hdr, msg_id);
+    // Every fragment validates the whole message range, so no fragment of
+    // a rejected message ever lands. The fragment that opens the message
+    // rejects it (poisoning it in the window) and NAKs once; its other
+    // fragments drop silently.
+    let mr = inner.mrs.check_remote(rkey, raddr, total_len, true).ok();
+    {
+        let mut qp = qp_rc.borrow_mut();
+        let rq_empty = qp.rq.is_empty();
+        let w = qp.rx_window();
+        if mr.is_none() {
+            if w.as_ref().map_or(frag == 0, |w| w.opens(msg_id, frag)) {
+                if let Some(w) = w {
+                    w.poison(msg_id, nfrags, Kind::Write);
+                }
+                drop(qp);
+                nak(inner, hdr, msg_id, NakReason::RemoteAccess);
+            }
+        } else if imm.is_some()
+            && rq_empty
+            && w.is_some_and(|w| w.completes_with(msg_id, frag, nfrags))
+        {
+            // Write-with-immediate consumes a receive WQE at completion:
+            // check for one before accepting the completing fragment, and
+            // RNR-NAK it back instead.
+            rnr_nak(inner, qp, hdr, msg_id);
             return;
         }
     }
-    if qp_rc.borrow().drop_msg == Some(msg_id) {
-        if frag + 1 == nfrags {
-            qp_rc.borrow_mut().drop_msg = None;
+    let completes = match admit(
+        inner,
+        qp_rc,
+        hdr,
+        msg_id,
+        frag,
+        nfrags,
+        Kind::Write,
+        total_len,
+    ) {
+        Action::Install { completes } => completes,
+        Action::Discard { reack: true } => {
+            ack(inner, hdr, msg_id);
+            return;
         }
-        return;
-    }
-    let mr = if frag == 0 {
-        match inner.mrs.check_remote(rkey, raddr, total_len, true) {
-            Ok(mr) => mr,
-            Err(_) => {
-                if nfrags > 1 {
-                    qp_rc.borrow_mut().drop_msg = Some(msg_id);
-                }
-                nak(inner, hdr, msg_id, NakReason::RemoteAccess);
-                return;
-            }
-        }
-    } else {
-        // Range for the whole message was validated on fragment 0.
-        match inner
-            .mrs
-            .check_remote(rkey, raddr + offset as u64, payload.len(), true)
-        {
-            Ok(mr) => mr,
-            Err(_) => {
-                nak(inner, hdr, msg_id, NakReason::RemoteAccess);
-                return;
-            }
-        }
+        _ => return,
     };
+    // No window to poison a rejected message: its fragments stop here.
+    let Some(mr) = mr else { return };
 
-    let last = frag + 1 == nfrags;
     let dma_done = inner.dma.enqueue(DmaDir::ToHost, payload.len());
     let inner2 = Rc::clone(inner);
     let qp2 = Rc::clone(qp_rc);
@@ -2133,44 +1790,40 @@ fn handle_write_frag(
         mr.mem
             .install(dst, &payload)
             .expect("validated remote range");
-        if last {
+        if completes {
             {
                 let mut qp = qp2.borrow_mut();
                 qp.rx_msgs += 1;
                 qp.rx_bytes += total_len as u64;
             }
             if let Some(imm) = imm {
-                // Write-with-immediate consumes a receive WQE.
                 let popped = qp2.borrow_mut().rq.pop_front();
-                match popped {
-                    Some(rwqe) => {
-                        let (cq, cqe) = {
-                            let qp = qp2.borrow();
-                            (
-                                qp.recv_cq.clone(),
-                                Cqe {
-                                    wr_id: rwqe.wr_id,
-                                    status: CqeStatus::Success,
-                                    opcode: CqeOpcode::RecvWithImm,
-                                    byte_len: total_len,
-                                    qp: qp.num,
-                                    imm: Some(imm),
-                                    src_qp: Some(hdr.src_qpn),
-                                    src_node: Some(hdr.src_node),
-                                },
-                            )
-                        };
-                        deliver_cqe(&inner2, &cq, cqe);
-                    }
-                    None => {
-                        // DMA completion runs after the gate advanced; the
-                        // replayed write re-lands idempotently and retries
-                        // the immediate's receive-WQE consumption.
-                        qp2.borrow_mut().rx_rnr_rewind(msg_id);
-                        nak(&inner2, hdr, msg_id, NakReason::Rnr);
-                        return;
-                    }
-                }
+                let Some(rwqe) = popped else {
+                    // Pre-checked at arrival when a window is kept; only
+                    // a receive WQE taken in between lands here. Withhold
+                    // the ACK — the replay's duplicate pass re-ACKs,
+                    // degrading to a lost-CQE corner rather than
+                    // corrupting WQE pairing.
+                    nak(&inner2, hdr, msg_id, NakReason::Rnr);
+                    return;
+                };
+                let (cq, cqe) = {
+                    let qp = qp2.borrow();
+                    (
+                        qp.recv_cq.clone(),
+                        Cqe {
+                            wr_id: rwqe.wr_id,
+                            status: CqeStatus::Success,
+                            opcode: CqeOpcode::RecvWithImm,
+                            byte_len: total_len,
+                            qp: qp.num,
+                            imm: Some(imm),
+                            src_qp: Some(hdr.src_qpn),
+                            src_node: Some(hdr.src_node),
+                        },
+                    )
+                };
+                deliver_cqe(&inner2, &cq, cqe);
             }
             ack(&inner2, hdr, msg_id);
         }
@@ -2186,43 +1839,18 @@ fn handle_read_req(
     rkey: crate::types::RKey,
     len: usize,
 ) {
-    let dup = if sr_mode(&qp_rc.borrow()) {
-        // Single-packet message through the out-of-order window: served on
-        // arrival; a duplicate means the response (or its tail) was lost,
-        // so re-serve idempotently without re-counting.
-        let d = {
-            let mut qp = qp_rc.borrow_mut();
-            let rx = qp.retx.as_mut().expect("SR mode implies armed");
-            rx.sr.on_frag(msg_id, 0, 1, SrKind::Read)
-        };
-        if let Some((m, bits)) = d.sack {
-            sack(inner, hdr, m, bits);
-        }
-        match d.action {
-            SrAction::Install { .. } => false,
-            SrAction::Duplicate { .. } => true,
-            SrAction::Unbound => return, // unreachable: reads never bind
-        }
-    } else {
-        match rx_gate(inner, qp_rc, hdr, msg_id, 0, true) {
-            RxSeq::Accept => false,
-            RxSeq::Drop { .. } => return,
-            // Replayed read request: the response (or its tail) was lost.
-            // Re-streaming is idempotent — the requester discards fragments
-            // it already landed — so serve it again without re-counting.
-            RxSeq::DupAck => true,
-        }
+    // A single-packet message through the window, served on arrival. A
+    // duplicate of a delivered request means the response (or its tail)
+    // was lost: re-streaming is idempotent — the requester discards
+    // fragments it already landed — so serve it again without re-counting.
+    let dup = match admit(inner, qp_rc, hdr, msg_id, 0, 1, Kind::Read, len) {
+        Action::Install { .. } => false,
+        Action::Discard { reack: true } => true,
+        _ => return,
     };
-    let mr = match inner.mrs.check_remote(rkey, raddr, len, false) {
-        Ok(mr) => mr,
-        Err(e) => {
-            let reason = match e {
-                MrError::OutOfRange => NakReason::RemoteAccess,
-                _ => NakReason::RemoteAccess,
-            };
-            nak(inner, hdr, msg_id, reason);
-            return;
-        }
+    let Ok(mr) = inner.mrs.check_remote(rkey, raddr, len, false) else {
+        nak(inner, hdr, msg_id, NakReason::RemoteAccess);
+        return;
     };
     if !dup {
         let mut qp = qp_rc.borrow_mut();
@@ -2348,19 +1976,14 @@ fn handle_read_resp(
             let mut qp = qp_rc.borrow_mut();
             qp.pending_reads.remove(&msg_id);
             qp.outstanding_reads -= 1;
-            push_cqe(
-                &qp.send_cq,
-                Cqe {
-                    wr_id: pr.wr_id,
-                    status: CqeStatus::LocalProtErr,
-                    opcode: CqeOpcode::RdmaRead,
-                    byte_len: 0,
-                    qp: qp.num,
-                    imm: None,
-                    src_qp: None,
-                    src_node: None,
-                },
+            let cqe = Cqe::new(
+                pr.wr_id,
+                CqeStatus::LocalProtErr,
+                CqeOpcode::RdmaRead,
+                0,
+                qp.num,
             );
+            qp.send_cq.push(cqe);
             return;
         }
     };
@@ -2383,16 +2006,13 @@ fn handle_read_resp(
                 qp.tx_msgs += 1;
                 qp.tx_bytes += pr.len as u64;
                 if pr.signaled {
-                    let cqe = Cqe {
-                        wr_id: pr.wr_id,
-                        status: CqeStatus::Success,
-                        opcode: CqeOpcode::RdmaRead,
-                        byte_len: pr.len,
-                        qp: qp.num,
-                        imm: None,
-                        src_qp: None,
-                        src_node: None,
-                    };
+                    let cqe = Cqe::new(
+                        pr.wr_id,
+                        CqeStatus::Success,
+                        CqeOpcode::RdmaRead,
+                        pr.len,
+                        qp.num,
+                    );
                     deliver_cqe(&inner2, &qp.send_cq.clone(), cqe);
                 }
                 if qp.stalled_rd {
@@ -2418,16 +2038,13 @@ fn handle_ack(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>, msg_id: u64) {
     }
     if let Some(pa) = qp.pending_acks.remove(&msg_id) {
         if pa.signaled {
-            let cqe = Cqe {
-                wr_id: pa.wr_id,
-                status: CqeStatus::Success,
-                opcode: pa.opcode.into(),
-                byte_len: pa.byte_len,
-                qp: qp.num,
-                imm: None,
-                src_qp: None,
-                src_node: None,
-            };
+            let cqe = Cqe::new(
+                pa.wr_id,
+                CqeStatus::Success,
+                pa.opcode.into(),
+                pa.byte_len,
+                qp.num,
+            );
             let cq = qp.send_cq.clone();
             drop(qp);
             deliver_cqe(inner, &cq, cqe);
@@ -2435,11 +2052,12 @@ fn handle_ack(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>, msg_id: u64) {
     }
 }
 
-/// SACK from a selective-repeat responder: remember which fragments of
-/// the first missing message it already holds (the replay pass skips
-/// them), then replay the unacked window from that message. Individually
-/// ACKed messages are no longer in the window, so — unlike go-back-N —
-/// only messages actually missing something go back on the wire.
+/// Gap notice from the responder: remember which fragments of the first
+/// missing message it already holds (the replay pass skips them), then
+/// replay the unacked window from that message. Under selective repeat
+/// individually ACKed messages are no longer in the window, so only
+/// messages actually missing something go back on the wire; under
+/// go-back-N the bitmap is empty and this is the classic go-back.
 fn handle_sack(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>, msg_id: u64, received: u64) {
     {
         let mut qp = qp_rc.borrow_mut();
@@ -2452,12 +2070,6 @@ fn handle_sack(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>, msg_id: u64, recei
 }
 
 fn handle_nak(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>, msg_id: u64, reason: NakReason) {
-    if reason == NakReason::Sequence {
-        // Recoverable: the responder is missing `msg_id` onward — go back
-        // to it and replay, instead of erroring the QP.
-        retx_go_back(inner, qp_rc, msg_id);
-        return;
-    }
     // Receiver-not-ready with retransmission armed is recoverable too:
     // back off and replay, hoping the application posts a receive buffer
     // in the meantime. Only budget exhaustion (or an unarmed QP, the
@@ -2469,40 +2081,18 @@ fn handle_nak(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>, msg_id: u64, reason
     let status = match reason {
         NakReason::Rnr => CqeStatus::RnrRetryExceeded,
         NakReason::RemoteAccess | NakReason::LengthError => CqeStatus::RemoteAccessErr,
-        NakReason::Sequence => unreachable!("handled above"),
     };
+    let qpn = qp.num;
     let mut terminal = false;
     if let Some(pa) = qp.pending_acks.remove(&msg_id) {
         terminal = true;
-        push_cqe(
-            &qp.send_cq,
-            Cqe {
-                wr_id: pa.wr_id,
-                status,
-                opcode: pa.opcode.into(),
-                byte_len: 0,
-                qp: qp.num,
-                imm: None,
-                src_qp: None,
-                src_node: None,
-            },
-        );
+        qp.send_cq
+            .push(Cqe::new(pa.wr_id, status, pa.opcode.into(), 0, qpn));
     } else if let Some(pr) = qp.pending_reads.remove(&msg_id) {
         terminal = true;
         qp.outstanding_reads -= 1;
-        push_cqe(
-            &qp.send_cq,
-            Cqe {
-                wr_id: pr.wr_id,
-                status,
-                opcode: CqeOpcode::RdmaRead,
-                byte_len: 0,
-                qp: qp.num,
-                imm: None,
-                src_qp: None,
-                src_node: None,
-            },
-        );
+        qp.send_cq
+            .push(Cqe::new(pr.wr_id, status, CqeOpcode::RdmaRead, 0, qpn));
     }
     // If the NAKed WQE just got its terminal CQE, a mid-segmentation
     // replay of it must not produce a second (flush) completion.

@@ -6,8 +6,9 @@
 //! * RC and UD queue pairs with the IB state machine ([`qp`]),
 //! * two-sided send/recv and one-sided RDMA read/write with MTU
 //!   segmentation, DMA pipelining, per-message coalesced ACKs ([`engine`]),
-//! * RC retransmission in two flavors ([`RetxMode`]): go-back-N, and
-//!   selective repeat ([`SrRxWindow`]) that installs fragments out of
+//! * RC retransmission with one receive window ([`RxWindow`]) whose
+//!   acceptance rule is the QP's [`RetxMode`]: go-back-N accepts only the
+//!   next fragment in sequence, selective repeat installs fragments out of
 //!   order and SACKs holes — the receiver `cord-net`'s per-packet spray
 //!   routing needs,
 //! * inline sends (bypass only — the CoRD prototype lacks them, §5 of the
@@ -32,7 +33,7 @@ pub use cq::{Cq, Cqe, CqeOpcode, CqeStatus};
 pub use engine::{Nic, TX_BURST, TX_WINDOW};
 pub use mr::{Mr, MrError, MrTable};
 pub use packet::{NakReason, Packet, PacketKind};
-pub use qp::{RetxConfig, RetxMode, RetxState, RxSeq, SrAction, SrDecision, SrKind, SrRxWindow};
+pub use qp::{Action, Decision, Kind, RetxConfig, RetxMode, RetxState, RxWindow};
 pub use types::{
     Access, CqId, LKey, NodeId, Opcode, QpNum, QpState, RKey, Transport, VerbsError, WrId,
 };

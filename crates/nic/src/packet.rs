@@ -18,12 +18,6 @@ pub enum NakReason {
     RemoteAccess,
     /// Message longer than the posted receive buffer.
     LengthError,
-    /// Out-of-sequence arrival on a retransmitting QP (IB's PSN sequence
-    /// error): `msg_id` names the first message the responder is missing,
-    /// and the requester goes back to it and replays. Only emitted when
-    /// RC retransmission is armed; unlike the other reasons it is
-    /// recoverable, not fatal.
-    Sequence,
 }
 
 /// Packet body variants.
@@ -72,10 +66,12 @@ pub enum PacketKind {
     Ack { msg_id: u64 },
     /// Negative acknowledgement (RC).
     Nak { msg_id: u64, reason: NakReason },
-    /// Selective acknowledgement (RC with selective repeat armed): names
-    /// the first message the responder is missing plus the bitmap of that
-    /// message's fragments already held, so the requester replays only
-    /// the holes. Fragments past bit 63 are always replayed.
+    /// Gap notice (RC with retransmission armed): names the first message
+    /// the responder is missing plus the bitmap of that message's
+    /// fragments already held, so the requester replays only the holes.
+    /// Fragments past bit 63 are always replayed. Under go-back-N the
+    /// bitmap is empty, which makes this IB's PSN sequence-error NAK: the
+    /// requester goes back to `msg_id` and replays.
     Sack { msg_id: u64, received: u64 },
     /// Congestion notification packet: the receiver's echo of an
     /// ECN-marked arrival back to the sender (DCQCN's feedback signal).

@@ -1,10 +1,11 @@
 //! Queue pairs: state machine, work queues, in-flight transfer state, and
-//! the RC retransmission state machines (go-back-N and selective repeat).
+//! the RC retransmission state — the sender's unacked window and the
+//! receive window whose acceptance rule is the QP's [`RetxMode`].
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 
-use cord_sim::{SimDuration, SimTime, TimerHandle};
+use cord_sim::{Sim, SimDuration, SimTime, TimerHandle};
 
 use crate::cc::{CcAlgorithm, Dcqcn};
 use crate::cq::Cq;
@@ -41,7 +42,8 @@ pub struct PendingRead {
     pub got: u64,
 }
 
-/// Loss-recovery discipline for an RC QP with retransmission armed.
+/// Loss-recovery discipline for an RC QP with retransmission armed — on
+/// the receive side, the acceptance rule of its [`RxWindow`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RetxMode {
     /// Go-back-N: the receiver accepts only in-order arrivals and the
@@ -131,58 +133,56 @@ pub struct RetxEntry {
     pub sent: bool,
 }
 
-/// What the receive path should do with an arriving request packet, as
-/// decided by [`Qp::rx_seq_check`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RxSeq {
-    /// In sequence: process normally.
-    Accept,
-    /// Out of sequence or duplicate: discard. `nak` asks the engine to
-    /// send one coalesced sequence NAK for the first missing message.
-    Drop { nak: bool },
-    /// Duplicate of a fully delivered message: discard but re-ACK (the
-    /// original ACK may have been lost).
-    DupAck,
-}
-
 /// How an arriving request message consumes receiver resources, as far as
-/// the selective-repeat window cares: sends bind a receive WQE in strict
-/// message order, writes and reads do not.
+/// the receive window cares: sends bind a receive WQE in strict message
+/// order, writes and reads do not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SrKind {
+pub enum Kind {
     Send,
     Write,
     Read,
 }
 
-/// What the engine should do with a fragment, per [`SrRxWindow::on_frag`].
+/// What the engine should do with a fragment, per [`RxWindow::on_frag`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SrAction {
+pub enum Action {
     /// Fresh fragment of a live message: install the payload.
     /// `completes` means every fragment of the message has now landed.
     Install { completes: bool },
-    /// Send fragment whose message cannot bind a receive WQE yet (an
-    /// earlier message is still unclassified or unbound): drop the
-    /// payload; SACK-driven replay recovers it.
+    /// Send fragment whose message has no receive WQE yet: the engine
+    /// binds at the floor ([`RxWindow::next_bind`]) and asks again. If the
+    /// message still cannot bind (an earlier message is unclassified or
+    /// unbound, or the RQ is empty) the payload drops and replay
+    /// recovers it.
     Unbound,
-    /// Duplicate (or fragment of a poisoned message): drop the payload.
-    /// `reack` asks for a duplicate ACK — the original was likely lost.
-    Duplicate { reack: bool },
+    /// Drop the payload: a duplicate, a fragment of a rejected message,
+    /// or an arrival out of sequence under the in-order rule. `reack`
+    /// asks for a duplicate ACK — the message was delivered and its ACK
+    /// was likely lost.
+    Discard { reack: bool },
+    /// In-order rule: an arrival out of sequence (dropped) cost the
+    /// expected send message `msg_id` its partial progress and its receive
+    /// WQE, which goes back to the front of the RQ so the replay rebinds
+    /// the same buffer.
+    Unbind { msg_id: u64 },
 }
 
-/// [`SrRxWindow::on_frag`] verdict plus an optional SACK to emit: the
-/// first missing message and the bitmap of its fragments already held
-/// (low 64; anything past bit 63 is replayed unconditionally).
+/// [`RxWindow::on_frag`] verdict plus an optional gap notice to emit: a
+/// SACK naming the first missing message and the bitmap of its fragments
+/// already held (low 64; anything past bit 63 is replayed
+/// unconditionally). Under the in-order rule the first missing message
+/// holds nothing, so the bitmap is 0 and the SACK acts as go-back-N's
+/// sequence NAK.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SrDecision {
-    pub action: SrAction,
+pub struct Decision {
+    pub action: Action,
     pub sack: Option<(u64, u64)>,
 }
 
-/// Per-message fragment tracking inside the selective-repeat window.
+/// Per-message fragment tracking inside the receive window.
 #[derive(Debug, Clone)]
-struct SrMsgState {
-    kind: SrKind,
+struct MsgState {
+    kind: Kind,
     nfrags: u32,
     total_len: usize,
     /// Received-fragment bitmap, 64 fragments per word.
@@ -190,34 +190,66 @@ struct SrMsgState {
     count: u32,
     /// Sends: whether a receive WQE has been bound (writes/reads: true).
     bound: bool,
-    /// Message rejected (length / protection error): drop everything.
+    /// Message rejected (length / protection error): nothing installs.
     poisoned: bool,
 }
 
-/// Receiver-side selective-repeat window: accepts fragments in any order,
-/// tracks per-message receive bitmaps, completes messages out of order,
-/// and decides when to emit a SACK. Pure state machine — the engine owns
-/// WQE binding, memory installs, and packet emission — so it is directly
-/// property-testable against a naive model.
-#[derive(Debug, Default)]
-pub struct SrRxWindow {
+impl MsgState {
+    fn new(kind: Kind, nfrags: u32) -> MsgState {
+        MsgState {
+            kind,
+            nfrags,
+            total_len: 0,
+            received: vec![0; (nfrags as usize).div_ceil(64)],
+            count: 0,
+            bound: !matches!(kind, Kind::Send),
+            poisoned: false,
+        }
+    }
+
+    fn has(&self, frag: u32) -> bool {
+        self.received[frag as usize / 64] >> (frag % 64) & 1 == 1
+    }
+}
+
+/// Receiver side of an RC QP with retransmission armed: per-message
+/// receive bitmaps, the cumulative delivery point, the send binding
+/// floor, and the gap-notice decision. The QP's [`RetxMode`] is the
+/// acceptance rule:
+///
+/// * selective repeat accepts fragments in any order, completes messages
+///   out of order, and re-arms its gap notice when the delivery point
+///   advances;
+/// * go-back-N (the in-order rule) accepts only the next fragment of the
+///   expected message and discards everything else; a gap also discards
+///   the expected message's partial progress, and any accepted fragment
+///   re-arms the gap notice.
+///
+/// Pure state machine — the engine owns WQE binding, memory installs,
+/// and packet emission — so it is directly property-testable against a
+/// naive model.
+#[derive(Debug)]
+pub struct RxWindow {
+    /// Acceptance rule.
+    rule: RetxMode,
     /// Every message below this id is fully delivered.
     expected_msg: u64,
     /// Messages at or above `expected_msg` that completed out of order.
     done: BTreeSet<u64>,
     /// In-progress messages.
-    msgs: BTreeMap<u64, SrMsgState>,
+    msgs: BTreeMap<u64, MsgState>,
     /// Lowest message id not yet resolved for WQE binding: sends bind in
     /// strict message order, so a send can bind only once every earlier
     /// message is delivered, bound, or known not to need a WQE.
     floor: u64,
-    /// One SACK per gap episode, cleared when `expected_msg` advances.
+    /// One gap notice per episode.
     sack_sent: bool,
 }
 
-impl SrRxWindow {
-    pub fn new() -> SrRxWindow {
-        SrRxWindow {
+impl RxWindow {
+    pub fn new(rule: RetxMode) -> RxWindow {
+        RxWindow {
+            rule,
             expected_msg: 1,
             done: BTreeSet::new(),
             msgs: BTreeMap::new(),
@@ -231,22 +263,22 @@ impl SrRxWindow {
         self.expected_msg
     }
 
-    /// Whether the window has ever seen (or delivered) `msg_id`.
-    pub fn knows(&self, msg_id: u64) -> bool {
-        msg_id < self.expected_msg || self.done.contains(&msg_id) || self.msgs.contains_key(&msg_id)
+    /// Whether `(msg_id, frag)` is the first contact with `msg_id`: any
+    /// fragment of an unseen message under selective repeat, fragment 0 of
+    /// the expected message under the in-order rule.
+    pub fn opens(&self, msg_id: u64, frag: u32) -> bool {
+        let known = msg_id < self.expected_msg
+            || self.done.contains(&msg_id)
+            || self.msgs.contains_key(&msg_id);
+        !known && (self.rule == RetxMode::Sr || (msg_id == self.expected_msg && frag == 0))
     }
 
     /// Whether landing `frag` would complete `msg_id` (used by the engine
     /// to pre-check receiver resources before committing the fragment).
     pub fn completes_with(&self, msg_id: u64, frag: u32, nfrags: u32) -> bool {
         match self.msgs.get(&msg_id) {
-            Some(m) => {
-                m.bound
-                    && !m.poisoned
-                    && m.count + 1 == m.nfrags
-                    && m.received[frag as usize / 64] >> (frag % 64) & 1 == 0
-            }
-            None => !self.knows(msg_id) && nfrags == 1,
+            Some(m) => m.bound && !m.poisoned && m.count + 1 == m.nfrags && !m.has(frag),
+            None => nfrags == 1 && self.opens(msg_id, frag),
         }
     }
 
@@ -260,79 +292,115 @@ impl SrRxWindow {
         let Some(m) = self.msgs.get(&msg_id) else {
             return 0;
         };
-        for f in 0..m.nfrags {
-            if m.received[f as usize / 64] >> (f % 64) & 1 == 0 {
-                return f;
-            }
-        }
-        m.nfrags
+        (0..m.nfrags).find(|&f| !m.has(f)).unwrap_or(m.nfrags)
     }
 
-    fn received_low64(&self, msg_id: u64) -> u64 {
-        self.msgs.get(&msg_id).map_or(0, |m| m.received[0])
+    /// The gap notice for this episode, unless it was already sent.
+    fn notice(&mut self) -> Option<(u64, u64)> {
+        if self.sack_sent {
+            return None;
+        }
+        self.sack_sent = true;
+        let held = self
+            .msgs
+            .get(&self.expected_msg)
+            .map_or(0, |m| m.received[0]);
+        Some((self.expected_msg, held))
     }
 
     /// Process one arriving fragment. Classifies the message on first
-    /// contact, tracks the receive bitmap, advances the cumulative
-    /// delivery point on completion, and decides whether to SACK: once
-    /// per gap episode, when the arrival lands ahead of the first missing
-    /// position (a later message, or a fragment past the lowest hole of
-    /// the expected message).
-    pub fn on_frag(&mut self, msg_id: u64, frag: u32, nfrags: u32, kind: SrKind) -> SrDecision {
+    /// contact, applies the acceptance rule, tracks the receive bitmap,
+    /// advances the cumulative delivery point on completion, and decides
+    /// whether to emit a gap notice: once per episode, when the arrival
+    /// lands ahead of the first missing position (a later message, or a
+    /// fragment past the lowest hole of the expected message).
+    pub fn on_frag(&mut self, msg_id: u64, frag: u32, nfrags: u32, kind: Kind) -> Decision {
         debug_assert!(frag < nfrags);
         if msg_id < self.expected_msg || self.done.contains(&msg_id) {
-            return SrDecision {
-                action: SrAction::Duplicate {
+            return Decision {
+                action: Action::Discard {
                     reack: frag + 1 == nfrags,
                 },
                 sack: None,
             };
         }
-        let e = self.msgs.entry(msg_id).or_insert_with(|| SrMsgState {
-            kind,
-            nfrags,
-            total_len: 0,
-            received: vec![0; (nfrags as usize).div_ceil(64)],
-            count: 0,
-            bound: !matches!(kind, SrKind::Send),
-            poisoned: false,
-        });
-        let action = if e.poisoned {
-            SrAction::Duplicate { reack: false }
-        } else if !e.bound {
-            SrAction::Unbound
-        } else if e.received[frag as usize / 64] >> (frag % 64) & 1 == 1 {
-            SrAction::Duplicate { reack: false }
+        let in_order = self.rule == RetxMode::Gbn;
+        if in_order
+            && (msg_id > self.expected_msg || frag > self.msgs.get(&msg_id).map_or(0, |m| m.count))
+        {
+            return self.rewind();
+        }
+        let e = self
+            .msgs
+            .entry(msg_id)
+            .or_insert_with(|| MsgState::new(kind, nfrags));
+        // A rejected message never installs. Selective repeat drops its
+        // fragments outright; the in-order rule still walks them through
+        // the sequence so the delivery point moves past the message.
+        let action = if e.poisoned && !in_order {
+            Action::Discard { reack: false }
+        } else if !e.bound && !e.poisoned {
+            Action::Unbound
+        } else if e.has(frag) {
+            Action::Discard { reack: false }
         } else {
             e.received[frag as usize / 64] |= 1 << (frag % 64);
             e.count += 1;
-            if e.count == e.nfrags {
-                self.msgs.remove(&msg_id);
-                self.done.insert(msg_id);
-                let before = self.expected_msg;
-                while self.done.remove(&self.expected_msg) {
-                    self.expected_msg += 1;
-                }
-                if self.expected_msg > before {
-                    self.sack_sent = false;
-                }
-                if self.floor < self.expected_msg {
-                    self.floor = self.expected_msg;
-                }
-                SrAction::Install { completes: true }
+            let (completes, poisoned) = (e.count == e.nfrags, e.poisoned);
+            if completes {
+                self.deliver(msg_id);
+            }
+            if in_order {
+                self.sack_sent = false;
+            }
+            if poisoned {
+                Action::Discard { reack: false }
             } else {
-                SrAction::Install { completes: false }
+                Action::Install { completes }
             }
         };
-        let gap = msg_id > self.expected_msg
-            || (msg_id == self.expected_msg && frag > self.lowest_missing(msg_id));
-        let sack = if gap && !self.sack_sent && !matches!(action, SrAction::Duplicate { .. }) {
-            self.sack_sent = true;
-            Some((self.expected_msg, self.received_low64(self.expected_msg)))
+        let gap = !in_order
+            && (msg_id > self.expected_msg
+                || (msg_id == self.expected_msg && frag > self.lowest_missing(msg_id)));
+        let sack = if gap && !matches!(action, Action::Discard { .. }) {
+            self.notice()
         } else {
             None
         };
-        SrDecision { action, sack }
+        Decision { action, sack }
+    }
+
+    /// Mark `msg_id` delivered and advance the delivery point over every
+    /// message completed since.
+    fn deliver(&mut self, msg_id: u64) {
+        self.msgs.remove(&msg_id);
+        self.done.insert(msg_id);
+        let before = self.expected_msg;
+        while self.done.remove(&self.expected_msg) {
+            self.expected_msg += 1;
+        }
+        if self.expected_msg > before {
+            self.sack_sent = false;
+        }
+        if self.floor < self.expected_msg {
+            self.floor = self.expected_msg;
+        }
+    }
+
+    /// In-order rule, arrival out of sequence: the expected message loses
+    /// its partial progress (and a bound send its receive WQE), so the
+    /// replay is accepted from fragment 0.
+    fn rewind(&mut self) -> Decision {
+        let e = self.expected_msg;
+        let action = match self.msgs.remove(&e) {
+            Some(m) if m.kind == Kind::Send && m.bound => Action::Unbind { msg_id: e },
+            _ => Action::Discard { reack: false },
+        };
+        self.floor = e;
+        Decision {
+            action,
+            sack: self.notice(),
+        }
     }
 
     /// Record the total message length from a fragment header (idempotent;
@@ -364,7 +432,7 @@ impl SrRxWindow {
                     continue;
                 }
                 Some(m) => {
-                    debug_assert!(matches!(m.kind, SrKind::Send));
+                    debug_assert!(matches!(m.kind, Kind::Send));
                     return Some(self.floor);
                 }
                 None => return None,
@@ -379,28 +447,34 @@ impl SrRxWindow {
         }
     }
 
-    /// Reject a message (length / protection error): all of its fragments
-    /// drop silently from now on and it never blocks the binding floor.
-    pub fn poison(&mut self, msg_id: u64, nfrags: u32, kind: SrKind) {
-        let e = self.msgs.entry(msg_id).or_insert_with(|| SrMsgState {
-            kind,
-            nfrags,
-            total_len: 0,
-            received: vec![0; (nfrags as usize).div_ceil(64)],
-            count: 0,
-            bound: !matches!(kind, SrKind::Send),
-            poisoned: true,
-        });
-        e.poisoned = true;
+    /// Reject a message (length / protection error): none of its
+    /// fragments installs from now on and it never blocks the binding
+    /// floor.
+    pub fn poison(&mut self, msg_id: u64, nfrags: u32, kind: Kind) {
+        self.msgs
+            .entry(msg_id)
+            .or_insert_with(|| MsgState::new(kind, nfrags))
+            .poisoned = true;
+    }
+
+    /// The engine RNR-NAKed the message at the binding floor. Under the
+    /// in-order rule the NAK already tells the sender where to restart, so
+    /// gap notices stay muted until the next accepted fragment; selective
+    /// repeat leaves the message unbound and may SACK on its next
+    /// fragment.
+    pub fn rnr(&mut self) {
+        if self.rule == RetxMode::Gbn {
+            self.sack_sent = true;
+        }
     }
 }
 
-/// Go-back-N retransmission state for one RC QP (sender and receiver
-/// roles), armed by `Nic::set_rc_retx`.
+/// Retransmission state for one RC QP (sender and receiver roles), armed
+/// by `Nic::set_rc_retx`.
 #[derive(Debug)]
 pub struct RetxState {
     pub cfg: RetxConfig,
-    /// Unacked WQEs in message order (the go-back-N window).
+    /// Unacked WQEs in message order (the replay window).
     pub window: VecDeque<RetxEntry>,
     /// Messages queued for replay, consumed by the TX scheduler ahead of
     /// fresh sends.
@@ -416,12 +490,6 @@ pub struct RetxState {
     /// First message to replay when the RNR backoff fires (the message
     /// the responder RNR-NAKed).
     pub rnr_from: u64,
-    /// Receiver side: next message id expected to make progress.
-    pub expected_msg: u64,
-    /// Receiver side: next fragment expected within `expected_msg`.
-    pub expected_frag: u32,
-    /// One sequence NAK per gap: suppressed until in-order progress.
-    pub nak_sent: bool,
     /// Messages queued for replay over the QP's lifetime (diagnostics).
     pub replayed: u64,
     /// Sender side, selective repeat: per-message bitmaps of fragments
@@ -429,9 +497,9 @@ pub struct RetxState {
     /// sticky-correct (an installed fragment never un-installs), so stale
     /// masks can only suppress redundant traffic, never lose data.
     pub rtx_mask: HashMap<u64, u64>,
-    /// Receiver side, selective repeat: the out-of-order receive window.
-    /// Unused (empty) in go-back-N mode.
-    pub sr: SrRxWindow,
+    /// Receiver side: the receive window, with `cfg.mode` as its
+    /// acceptance rule.
+    pub rx_window: RxWindow,
 }
 
 impl RetxState {
@@ -445,12 +513,20 @@ impl RetxState {
             rnr_retries: 0,
             rnr_timer: None,
             rnr_from: 0,
-            expected_msg: 1,
-            expected_frag: 0,
-            nak_sent: false,
             replayed: 0,
             rtx_mask: HashMap::new(),
-            sr: SrRxWindow::new(),
+            rx_window: RxWindow::new(cfg.mode),
+        }
+    }
+
+    /// Cancel the retransmit and RNR backoff timers (tombstones in the
+    /// wheel), so a disarmed or flushed QP leaves nothing pending.
+    pub fn cancel_timers(&mut self, sim: &Sim) {
+        for h in [self.timer.take(), self.rnr_timer.take()]
+            .into_iter()
+            .flatten()
+        {
+            sim.cancel_scheduled(h);
         }
     }
 
@@ -461,7 +537,7 @@ impl RetxState {
     }
 
     /// [`RetxState::queue_replay`] restricted to messages at or after
-    /// `from` — a sequence NAK names the responder's first missing
+    /// `from` — a gap notice names the responder's first missing
     /// message, and replaying anything older would only burn bottleneck
     /// bandwidth on duplicates the receiver discards.
     pub fn queue_replay_from(&mut self, from: u64) -> u64 {
@@ -492,14 +568,11 @@ impl RetxState {
     }
 }
 
-/// Responder-side reassembly of the in-progress inbound send (RC is
-/// strictly ordered per QP, so one slot suffices).
+/// Responder side: the receive WQE an inbound send message is bound to,
+/// kept in [`Qp::recv_asm`] until the message's last fragment lands.
 #[derive(Clone)]
 pub struct RecvAssembly {
-    pub msg_id: u64,
     pub wqe: RecvWqe,
-    pub received: usize,
-    pub total_len: usize,
     /// Landing arena resolved from the receive WQE's lkey.
     pub mem: cord_hw::GuestMem,
 }
@@ -543,19 +616,16 @@ pub struct Qp {
     pub max_rd_atomic: usize,
     pub pending_acks: HashMap<u64, PendingAck>,
     pub pending_reads: HashMap<u64, PendingRead>,
-    pub cur_recv: Option<RecvAssembly>,
-    /// Selective repeat: concurrent inbound send reassemblies keyed by
-    /// message id (out-of-order arrival means several can be open at
-    /// once). Go-back-N uses the single `cur_recv` slot instead.
-    pub sr_recv: BTreeMap<u64, RecvAssembly>,
-    /// Inbound write message currently being dropped after a NAK.
-    pub drop_msg: Option<u64>,
+    /// Inbound send reassemblies keyed by message id: one at a time in
+    /// arrival order, several at once under selective repeat.
+    pub recv_asm: BTreeMap<u64, RecvAssembly>,
     /// DCQCN sender state (`Some` iff the QP's CC knob is `Dcqcn`). On the
     /// receive side its presence also enables CNP echo for marked arrivals.
     pub dcqcn: Option<Dcqcn>,
     /// RC retransmission state (`Some` iff armed via `Nic::set_rc_retx`).
-    /// Sender side: unacked window + retransmit timer; receiver side:
-    /// in-order sequence tracking and NAK suppression.
+    /// Sender side: unacked window + retransmit timer; receiver side: the
+    /// receive window. Without it, request fragments are accepted in
+    /// arrival order.
     pub retx: Option<RetxState>,
     /// Last CNP echoed from this QP (receiver-side CNP rate limiting).
     pub last_cnp_tx: Option<SimTime>,
@@ -595,9 +665,7 @@ impl Qp {
             max_rd_atomic,
             pending_acks: HashMap::new(),
             pending_reads: HashMap::new(),
-            cur_recv: None,
-            sr_recv: BTreeMap::new(),
-            drop_msg: None,
+            recv_asm: BTreeMap::new(),
             dcqcn: None,
             retx: None,
             last_cnp_tx: None,
@@ -728,76 +796,36 @@ impl Qp {
         id
     }
 
-    /// Receiver-side go-back-N sequence check for an arriving request
-    /// fragment (`frag`/`last` are 0/`true` for single-packet requests
-    /// like read requests). No-op ([`RxSeq::Accept`]) unless
-    /// retransmission is armed.
-    ///
-    /// In-sequence arrivals advance the expected position and clear NAK
-    /// suppression; a gap (lost fragment or whole message) discards the
-    /// arrival, rewinds any partial send reassembly so the replay can
-    /// rebind its receive WQE from fragment 0, and asks for one coalesced
-    /// sequence NAK naming the first missing message.
-    pub fn rx_seq_check(&mut self, msg_id: u64, frag: u32, last: bool) -> RxSeq {
-        let Some(rx) = self.retx.as_mut() else {
-            return RxSeq::Accept;
-        };
-        if msg_id < rx.expected_msg {
-            // Replay of a message already delivered: its ACK was lost or
-            // slow. Re-ACK on the last fragment so the sender's window
-            // clears; drop the payload either way.
-            return if last {
-                RxSeq::DupAck
-            } else {
-                RxSeq::Drop { nak: false }
-            };
+    /// The receive window, if retransmission is armed.
+    pub fn rx_window(&mut self) -> Option<&mut RxWindow> {
+        self.retx.as_mut().map(|rx| &mut rx.rx_window)
+    }
+
+    /// The receive window's verdict on an arriving request fragment, or
+    /// `None` when the QP keeps no window (retransmission disarmed: the
+    /// engine accepts fragments in arrival order). An [`Action::Unbind`]
+    /// is carried out here — the receive WQE goes back to the front of the
+    /// RQ — and reported as a silent discard.
+    pub fn rx_verdict(
+        &mut self,
+        msg_id: u64,
+        frag: u32,
+        nfrags: u32,
+        kind: Kind,
+        total_len: usize,
+    ) -> Option<Decision> {
+        let w = self.rx_window()?;
+        let mut d = w.on_frag(msg_id, frag, nfrags, kind);
+        if kind == Kind::Send {
+            w.note_total_len(msg_id, total_len);
         }
-        if msg_id > rx.expected_msg || frag > rx.expected_frag {
-            // Gap: a whole message or a fragment went missing. Rewind the
-            // partial reassembly (the replay restarts at fragment 0) and
-            // NAK once per gap episode.
-            let nak = !rx.nak_sent;
-            rx.nak_sent = true;
-            rx.expected_frag = 0;
-            if let Some(asm) = self.cur_recv.take() {
+        if let Action::Unbind { msg_id } = d.action {
+            if let Some(asm) = self.recv_asm.remove(&msg_id) {
                 self.rq.push_front(asm.wqe);
             }
-            return RxSeq::Drop { nak };
+            d.action = Action::Discard { reack: false };
         }
-        if frag < rx.expected_frag {
-            // Replay duplicate of a fragment already landed; the tail of
-            // the replay will line up with `expected_frag`.
-            return RxSeq::Drop { nak: false };
-        }
-        rx.expected_frag += 1;
-        rx.nak_sent = false;
-        if last {
-            rx.expected_msg += 1;
-            rx.expected_frag = 0;
-        }
-        RxSeq::Accept
-    }
-
-    /// The first message the receive side is missing (what a sequence NAK
-    /// reports). Panics if retransmission is not armed.
-    pub fn rx_expected_msg(&self) -> u64 {
-        self.retx.as_ref().expect("retx armed").expected_msg
-    }
-
-    /// Receiver-side rewind after an RNR NAK for `msg_id`: the arriving
-    /// fragment already advanced the expected position in
-    /// [`Qp::rx_seq_check`], but its payload was discarded, so the replay
-    /// must be re-accepted from fragment 0 of the NAKed message (and its
-    /// trailing in-flight fragments dropped rather than DupAcked). Also
-    /// suppresses sequence NAKs until in-order progress resumes — the
-    /// sender already knows where to restart. No-op when retransmission
-    /// is not armed (RNR is then fatal and the QP flushes).
-    pub fn rx_rnr_rewind(&mut self, msg_id: u64) {
-        if let Some(rx) = self.retx.as_mut() {
-            rx.expected_msg = msg_id;
-            rx.expected_frag = 0;
-            rx.nak_sent = true;
-        }
+        Some(d)
     }
 
     /// Move to the error state; remaining queued WQEs flush with errors.
@@ -977,70 +1005,108 @@ mod tests {
         qp
     }
 
+    fn gbn() -> RxWindow {
+        RxWindow::new(RetxMode::Gbn)
+    }
+
+    fn install(completes: bool) -> Action {
+        Action::Install { completes }
+    }
+
+    fn discard(reack: bool) -> Action {
+        Action::Discard { reack }
+    }
+
     #[test]
     fn rx_seq_accepts_in_order_and_advances() {
-        let mut qp = mk_retx_qp();
+        let mut w = gbn();
         // msg 1: three fragments in order, then msg 2 single-fragment.
-        assert_eq!(qp.rx_seq_check(1, 0, false), RxSeq::Accept);
-        assert_eq!(qp.rx_seq_check(1, 1, false), RxSeq::Accept);
-        assert_eq!(qp.rx_seq_check(1, 2, true), RxSeq::Accept);
-        assert_eq!(qp.rx_seq_check(2, 0, true), RxSeq::Accept);
-        assert_eq!(qp.rx_expected_msg(), 3);
-        // Without retx armed, everything is accepted untracked.
+        assert_eq!(w.on_frag(1, 0, 3, Kind::Write).action, install(false));
+        assert_eq!(w.on_frag(1, 1, 3, Kind::Write).action, install(false));
+        assert_eq!(w.on_frag(1, 2, 3, Kind::Write).action, install(true));
+        assert_eq!(w.on_frag(2, 0, 1, Kind::Write).action, install(true));
+        assert_eq!(w.expected_msg(), 3);
+        // Without retx armed the QP keeps no window: arrival order rules.
         let mut plain = mk_qp(Transport::Rc);
-        assert_eq!(plain.rx_seq_check(9, 5, false), RxSeq::Accept);
+        assert_eq!(plain.rx_verdict(9, 5, 6, Kind::Write, 0), None);
     }
 
     #[test]
     fn rx_seq_naks_once_per_gap_and_resumes_on_progress() {
-        let mut qp = mk_retx_qp();
-        assert_eq!(qp.rx_seq_check(1, 0, false), RxSeq::Accept);
-        // Fragment 1 lost: 2 arrives out of order — one NAK, then silence.
-        assert_eq!(qp.rx_seq_check(1, 2, false), RxSeq::Drop { nak: true });
-        assert_eq!(qp.rx_seq_check(1, 3, true), RxSeq::Drop { nak: false });
+        let mut w = gbn();
+        assert_eq!(w.on_frag(1, 0, 4, Kind::Write).action, install(false));
+        // Fragment 1 lost: 2 arrives out of order — one gap notice naming
+        // msg 1 with nothing held, then silence.
+        let d = w.on_frag(1, 2, 4, Kind::Write);
+        assert_eq!((d.action, d.sack), (discard(false), Some((1, 0))));
+        assert_eq!(w.on_frag(1, 3, 4, Kind::Write).sack, None);
         // Later messages during the same gap stay suppressed too.
-        assert_eq!(qp.rx_seq_check(2, 0, true), RxSeq::Drop { nak: false });
+        let d = w.on_frag(2, 0, 1, Kind::Write);
+        assert_eq!((d.action, d.sack), (discard(false), None));
         // Go-back-N replay restarts msg 1 from fragment 0 and is accepted;
-        // progress re-arms NAK for the next gap.
-        assert_eq!(qp.rx_seq_check(1, 0, false), RxSeq::Accept);
-        assert_eq!(qp.rx_seq_check(1, 1, false), RxSeq::Accept);
-        assert_eq!(qp.rx_seq_check(1, 3, true), RxSeq::Drop { nak: true });
+        // progress re-arms the notice for the next gap.
+        assert_eq!(w.on_frag(1, 0, 4, Kind::Write).action, install(false));
+        assert_eq!(w.on_frag(1, 1, 4, Kind::Write).action, install(false));
+        assert_eq!(w.on_frag(1, 3, 4, Kind::Write).sack, Some((1, 0)));
     }
 
     #[test]
     fn rx_seq_gap_rewinds_partial_reassembly() {
         let mut qp = mk_retx_qp();
         qp.to_init().unwrap();
-        // Bind a fake in-progress reassembly for msg 1.
-        qp.cur_recv = Some(RecvAssembly {
-            msg_id: 1,
-            wqe: RecvWqe::new(WrId(77), sge(64)),
-            received: 16,
-            total_len: 64,
-            mem: cord_hw::GuestMem::new(),
-        });
-        assert_eq!(qp.rx_seq_check(1, 0, false), RxSeq::Accept);
-        assert_eq!(qp.rx_seq_check(1, 2, true), RxSeq::Drop { nak: true });
-        // The bound receive WQE went back to the front of the RQ so the
-        // replay can rebind it from fragment 0.
-        assert!(qp.cur_recv.is_none());
-        assert_eq!(qp.rq.front().unwrap().wr_id, WrId(77));
+        qp.push_recv(RecvWqe::new(WrId(77), sge(192))).unwrap();
+        qp.push_recv(RecvWqe::new(WrId(78), sge(192))).unwrap();
+        // Msg 1 is a send: its first fragment finds no WQE bound yet, so
+        // the engine binds one at the floor and asks again.
+        let d = qp.rx_verdict(1, 0, 3, Kind::Send, 192).unwrap();
+        assert_eq!(d.action, Action::Unbound);
+        let w = qp.rx_window().unwrap();
+        assert_eq!(w.next_bind(), Some(1));
+        assert_eq!(w.total_len(1), 192);
+        w.bound(1);
+        let wqe = qp.rq.pop_front().unwrap();
+        let mem = cord_hw::GuestMem::new();
+        qp.recv_asm.insert(1, RecvAssembly { wqe, mem });
+        let d = qp.rx_verdict(1, 0, 3, Kind::Send, 192).unwrap();
+        assert_eq!(d.action, install(false));
+        // Fragment 1 lost: the gap unbinds msg 1 (the window says so)...
+        let mut w = gbn();
+        assert_eq!(w.on_frag(1, 0, 3, Kind::Send).action, Action::Unbound);
+        w.bound(1);
+        assert_eq!(w.on_frag(1, 0, 3, Kind::Send).action, install(false));
+        assert_eq!(
+            w.on_frag(1, 2, 3, Kind::Send).action,
+            Action::Unbind { msg_id: 1 }
+        );
+        assert_eq!(w.next_bind(), None, "msg 1 rebinds only on its replay");
+        // ...and the QP returns the bound receive WQE to the front of the
+        // RQ, so the replay rebinds the same buffer from fragment 0.
+        let d = qp.rx_verdict(1, 2, 3, Kind::Send, 192).unwrap();
+        assert_eq!((d.action, d.sack), (discard(false), Some((1, 0))));
+        assert!(qp.recv_asm.is_empty());
+        let rq: Vec<WrId> = qp.rq.iter().map(|r| r.wr_id).collect();
+        assert_eq!(rq, [WrId(77), WrId(78)]);
+        let d = qp.rx_verdict(1, 0, 3, Kind::Send, 192).unwrap();
+        assert_eq!(d.action, Action::Unbound);
+        assert_eq!(qp.rx_window().unwrap().next_bind(), Some(1));
     }
 
     #[test]
     fn rx_seq_duplicates_reack_only_on_last_fragment() {
-        let mut qp = mk_retx_qp();
-        assert_eq!(qp.rx_seq_check(1, 0, true), RxSeq::Accept);
+        let mut w = gbn();
+        assert_eq!(w.on_frag(1, 0, 2, Kind::Write).action, install(false));
+        assert_eq!(w.on_frag(1, 1, 2, Kind::Write).action, install(true));
         // Replay of the delivered message: drop payload, re-ACK at the end.
-        assert_eq!(qp.rx_seq_check(1, 0, false), RxSeq::Drop { nak: false });
-        assert_eq!(qp.rx_seq_check(1, 0, true), RxSeq::DupAck);
+        assert_eq!(w.on_frag(1, 0, 2, Kind::Write).action, discard(false));
+        assert_eq!(w.on_frag(1, 1, 2, Kind::Write).action, discard(true));
         // Replay duplicate of an already-landed fragment inside the
-        // current message: silent drop, no rewind.
-        assert_eq!(qp.rx_seq_check(2, 0, false), RxSeq::Accept);
-        assert_eq!(qp.rx_seq_check(2, 1, false), RxSeq::Accept);
-        assert_eq!(qp.rx_seq_check(2, 0, false), RxSeq::Drop { nak: false });
-        assert_eq!(qp.rx_seq_check(2, 2, true), RxSeq::Accept);
-        assert_eq!(qp.rx_expected_msg(), 3);
+        // current message: silent drop, no rewind, no gap notice.
+        assert_eq!(w.on_frag(2, 0, 3, Kind::Write).action, install(false));
+        assert_eq!(w.on_frag(2, 1, 3, Kind::Write).action, install(false));
+        let d = w.on_frag(2, 0, 3, Kind::Write);
+        assert_eq!((d.action, d.sack), (discard(false), None));
+        assert_eq!(w.on_frag(2, 2, 3, Kind::Write).action, install(true));
+        assert_eq!(w.expected_msg(), 3);
     }
 
     #[test]
@@ -1073,117 +1139,117 @@ mod tests {
 
     #[test]
     fn sr_window_accepts_out_of_order_and_completes() {
-        let mut w = SrRxWindow::new();
+        let mut w = RxWindow::new(RetxMode::Sr);
         // Writes need no WQE binding: fragments land in any order.
-        let d = w.on_frag(1, 2, 3, SrKind::Write);
-        assert_eq!(d.action, SrAction::Install { completes: false });
+        let d = w.on_frag(1, 2, 3, Kind::Write);
+        assert_eq!(d.action, Action::Install { completes: false });
         // Arrival past the first hole of the expected message → SACK
         // naming msg 1 with bit 2 set.
         assert_eq!(d.sack, Some((1, 0b100)));
-        let d = w.on_frag(1, 0, 3, SrKind::Write);
-        assert_eq!(d.action, SrAction::Install { completes: false });
+        let d = w.on_frag(1, 0, 3, Kind::Write);
+        assert_eq!(d.action, Action::Install { completes: false });
         assert_eq!(d.sack, None, "one SACK per gap episode");
-        let d = w.on_frag(1, 1, 3, SrKind::Write);
-        assert_eq!(d.action, SrAction::Install { completes: true });
+        let d = w.on_frag(1, 1, 3, Kind::Write);
+        assert_eq!(d.action, Action::Install { completes: true });
         assert_eq!(w.expected_msg(), 2);
         // Message 3 completes before message 2: delivery point holds.
         assert_eq!(
-            w.on_frag(3, 0, 1, SrKind::Write).action,
-            SrAction::Install { completes: true }
+            w.on_frag(3, 0, 1, Kind::Write).action,
+            Action::Install { completes: true }
         );
         assert_eq!(w.expected_msg(), 2);
         assert_eq!(
-            w.on_frag(2, 0, 1, SrKind::Write).action,
-            SrAction::Install { completes: true }
+            w.on_frag(2, 0, 1, Kind::Write).action,
+            Action::Install { completes: true }
         );
         assert_eq!(w.expected_msg(), 4, "delivery point jumps over done msgs");
     }
 
     #[test]
     fn sr_window_duplicates_reack_only_on_last_fragment() {
-        let mut w = SrRxWindow::new();
+        let mut w = RxWindow::new(RetxMode::Sr);
         assert_eq!(
-            w.on_frag(1, 0, 2, SrKind::Write).action,
-            SrAction::Install { completes: false }
+            w.on_frag(1, 0, 2, Kind::Write).action,
+            Action::Install { completes: false }
         );
         // Same fragment again: silent drop.
         assert_eq!(
-            w.on_frag(1, 0, 2, SrKind::Write).action,
-            SrAction::Duplicate { reack: false }
+            w.on_frag(1, 0, 2, Kind::Write).action,
+            Action::Discard { reack: false }
         );
         assert_eq!(
-            w.on_frag(1, 1, 2, SrKind::Write).action,
-            SrAction::Install { completes: true }
+            w.on_frag(1, 1, 2, Kind::Write).action,
+            Action::Install { completes: true }
         );
         // Replay of the delivered message: re-ACK only on its last frag.
         assert_eq!(
-            w.on_frag(1, 0, 2, SrKind::Write).action,
-            SrAction::Duplicate { reack: false }
+            w.on_frag(1, 0, 2, Kind::Write).action,
+            Action::Discard { reack: false }
         );
         assert_eq!(
-            w.on_frag(1, 1, 2, SrKind::Write).action,
-            SrAction::Duplicate { reack: true }
+            w.on_frag(1, 1, 2, Kind::Write).action,
+            Action::Discard { reack: true }
         );
     }
 
     #[test]
     fn sr_window_binds_sends_in_message_order() {
-        let mut w = SrRxWindow::new();
+        let mut w = RxWindow::new(RetxMode::Sr);
         // Msg 2's fragment arrives before anything of msg 1: it cannot
         // bind (msg 1 unclassified), so the payload drops.
-        assert_eq!(w.on_frag(2, 0, 2, SrKind::Send).action, SrAction::Unbound);
+        assert_eq!(w.on_frag(2, 0, 2, Kind::Send).action, Action::Unbound);
         assert_eq!(w.next_bind(), None, "floor stalls on unclassified msg 1");
         // Msg 1 turns out to be a write: the floor advances and msg 2
         // becomes bindable.
         assert_eq!(
-            w.on_frag(1, 0, 1, SrKind::Write).action,
-            SrAction::Install { completes: true }
+            w.on_frag(1, 0, 1, Kind::Write).action,
+            Action::Install { completes: true }
         );
         assert_eq!(w.next_bind(), Some(2));
         w.bound(2);
         assert_eq!(w.next_bind(), None);
         // Bound now: the retried fragment installs.
         assert_eq!(
-            w.on_frag(2, 0, 2, SrKind::Send).action,
-            SrAction::Install { completes: false }
+            w.on_frag(2, 0, 2, Kind::Send).action,
+            Action::Install { completes: false }
         );
         assert_eq!(
-            w.on_frag(2, 1, 2, SrKind::Send).action,
-            SrAction::Install { completes: true }
+            w.on_frag(2, 1, 2, Kind::Send).action,
+            Action::Install { completes: true }
         );
         assert_eq!(w.expected_msg(), 3);
     }
 
     #[test]
     fn sr_window_poisoned_messages_drop_and_skip_floor() {
-        let mut w = SrRxWindow::new();
-        w.poison(1, 2, SrKind::Send);
+        let mut w = RxWindow::new(RetxMode::Sr);
+        w.poison(1, 2, Kind::Send);
         assert_eq!(w.next_bind(), None, "poisoned send never binds");
         assert_eq!(
-            w.on_frag(1, 0, 2, SrKind::Send).action,
-            SrAction::Duplicate { reack: false }
+            w.on_frag(1, 0, 2, Kind::Send).action,
+            Action::Discard { reack: false }
         );
         // A later send is still bindable: the floor skips the poisoned msg.
-        assert_eq!(w.on_frag(2, 0, 1, SrKind::Send).action, SrAction::Unbound);
+        assert_eq!(w.on_frag(2, 0, 1, Kind::Send).action, Action::Unbound);
         assert_eq!(w.next_bind(), Some(2));
     }
 
     #[test]
     fn sr_window_sack_carries_expected_msg_bitmap() {
-        let mut w = SrRxWindow::new();
+        let mut w = RxWindow::new(RetxMode::Sr);
         // Msg 1 partially lands, then msg 2 arrives: the SACK names msg 1
         // (first missing) with its received bitmap.
-        assert_eq!(w.on_frag(1, 0, 4, SrKind::Write).sack, None);
-        assert_eq!(w.on_frag(1, 3, 4, SrKind::Write).sack, Some((1, 0b1001)));
+        assert_eq!(w.on_frag(1, 0, 4, Kind::Write).sack, None);
+        assert_eq!(w.on_frag(1, 3, 4, Kind::Write).sack, Some((1, 0b1001)));
         // Suppressed until progress...
-        assert_eq!(w.on_frag(2, 0, 1, SrKind::Write).sack, None);
-        assert_eq!(w.on_frag(1, 1, 4, SrKind::Write).sack, None);
+        assert_eq!(w.on_frag(2, 0, 1, Kind::Write).sack, None);
+        assert_eq!(w.on_frag(1, 1, 4, Kind::Write).sack, None);
         // ...completing msg 1 advances the point and re-arms the SACK.
-        let d = w.on_frag(1, 2, 4, SrKind::Write);
-        assert_eq!(d.action, SrAction::Install { completes: true });
+        let d = w.on_frag(1, 2, 4, Kind::Write);
+        assert_eq!(d.action, Action::Install { completes: true });
         assert_eq!(w.expected_msg(), 3);
-        let d = w.on_frag(4, 0, 1, SrKind::Write);
-        assert_eq!(d.action, SrAction::Install { completes: true });
+        let d = w.on_frag(4, 0, 1, Kind::Write);
+        assert_eq!(d.action, Action::Install { completes: true });
         assert_eq!(d.sack, Some((3, 0)), "never-seen msg SACKs an empty bitmap");
     }
 }

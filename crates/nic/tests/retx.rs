@@ -1,7 +1,8 @@
 //! RC retransmission on a lossy fabric: go-back-N recovery, replay
-//! ordering, duplicate suppression, retry exhaustion, and the
-//! differential between go-back-N and selective repeat under an
-//! identical deterministic loss schedule.
+//! ordering, duplicate suppression, retry exhaustion, RNR backoff and
+//! rejected messages under both acceptance rules, and the differential
+//! between go-back-N and selective repeat under an identical
+//! deterministic loss schedule.
 //!
 //! The fabric is a two-node dumbbell with a slow bottleneck and a buffer
 //! of a few frames, so a burst of multi-fragment messages tail-drops
@@ -14,7 +15,7 @@ use cord_nic::{
     build_cluster_with, Access, Cq, CqeStatus, Nic, QpNum, QpState, RecvWqe, RetxConfig, RetxMode,
     SendWqe, Sge, Transport, WrId,
 };
-use cord_sim::{Sim, SimDuration, Trace};
+use cord_sim::{Sim, SimDuration, SimTime, Trace};
 
 struct Endpoint {
     nic: Nic,
@@ -55,6 +56,14 @@ fn lossy_rc_pair(sim: &Sim, bottleneck_gbps: f64, buffer_bytes: usize) -> (Endpo
         .unwrap();
     (a, b)
 }
+
+/// Re-arm both ends of a fresh pair with `cfg` (allowed before traffic).
+fn arm(a: &Endpoint, b: &Endpoint, cfg: RetxConfig) {
+    a.nic.set_rc_retx(a.qpn, Some(cfg)).unwrap();
+    b.nic.set_rc_retx(b.qpn, Some(cfg)).unwrap();
+}
+
+const MODES: [RetxMode; 2] = [RetxMode::Gbn, RetxMode::Sr];
 
 fn pattern(i: usize, len: usize) -> Vec<u8> {
     (0..len).map(|k| (k * 13 + i * 41 + 5) as u8).collect()
@@ -321,8 +330,7 @@ fn lossy_burst(mode: RetxMode) -> (Vec<Vec<u8>>, Vec<u64>, u64, u64) {
         mode,
         ..RetxConfig::default()
     };
-    a.nic.set_rc_retx(a.qpn, Some(cfg)).unwrap();
-    b.nic.set_rc_retx(b.qpn, Some(cfg)).unwrap();
+    arm(&a, &b, cfg);
     const MSGS: usize = 12;
     const LEN: usize = 16 * 1024;
     let mut dsts: Vec<MemRegion> = Vec::new();
@@ -435,11 +443,29 @@ fn selective_repeat_recovery_is_deterministic() {
 
 #[test]
 fn rnr_nak_backs_off_and_recovers_after_late_recv_post() {
+    // Both rules recover the same way: one message, one RNR round per
+    // backoff step until the late receive post lets it land.
+    for mode in MODES {
+        assert_eq!(rnr_then_late_recv(mode), 3, "{mode}: RNR rounds replayed");
+    }
+}
+
+/// One send that arrives before its receive WQE, which is posted 100 µs
+/// in. Returns the number of replays the RNR rounds took.
+fn rnr_then_late_recv(mode: RetxMode) -> u64 {
     let sim = Sim::new();
     // Lossless fabric: the only obstacle is the missing receive WQE. The
     // send arrives first, draws an RNR NAK, and must be replayed off the
     // RNR backoff timer until the (late) receive post lets it land.
     let (a, b) = lossy_rc_pair(&sim, 25.0, 16 << 20);
+    arm(
+        &a,
+        &b,
+        RetxConfig {
+            mode,
+            ..RetxConfig::default()
+        },
+    );
     const LEN: usize = 4096;
     let src = a.mem.alloc_from(&pattern(0, LEN));
     let dst = b.mem.alloc(LEN, 0);
@@ -483,58 +509,172 @@ fn rnr_nak_backs_off_and_recovers_after_late_recv_post() {
             (wait_cqe(&scq).await, wait_cqe(&rcq).await)
         }
     });
-    assert_eq!(scqe.status, CqeStatus::Success);
-    assert_eq!(rcqe.status, CqeStatus::Success);
+    assert_eq!(scqe.status, CqeStatus::Success, "{mode}");
+    assert_eq!(rcqe.status, CqeStatus::Success, "{mode}");
     assert_eq!(rcqe.byte_len, LEN);
     assert_eq!(
         &b.mem.read(dst.addr, LEN).unwrap()[..],
         &pattern(0, LEN)[..]
     );
-    assert!(a.nic.retx_stats().0 > 0, "RNR rounds must replay");
-    assert_eq!(a.nic.retx_stats().1, 0, "no exhaustion");
+    assert_eq!(a.nic.retx_stats().1, 0, "{mode}: no exhaustion");
     assert_eq!(a.nic.qp_state(a.qpn).unwrap(), QpState::Rts);
     assert_eq!(a.nic.network().total_drops(), 0, "fabric stayed lossless");
+    a.nic.retx_stats().0
 }
 
 #[test]
 fn rnr_retries_exhaust_into_an_error_completion() {
+    for mode in MODES {
+        let sim = Sim::new();
+        let (a, b) = lossy_rc_pair(&sim, 25.0, 16 << 20);
+        // Nobody ever posts a receive: every replay draws another RNR NAK
+        // until the capped budget errors the QP out.
+        let cfg = RetxConfig {
+            mode,
+            rnr_timeout: SimDuration::from_us(10),
+            max_rnr_retries: 2,
+            ..RetxConfig::default()
+        };
+        arm(&a, &b, cfg);
+        let src = a.mem.alloc_from(&pattern(0, 4096));
+        let mra = a.nic.mr_table().register(a.mem.clone(), src, Access::all());
+        a.nic
+            .post_send(
+                a.qpn,
+                SendWqe::send(
+                    WrId(9),
+                    Sge {
+                        addr: src.addr,
+                        len: 4096,
+                        lkey: mra.lkey,
+                    },
+                ),
+                false,
+            )
+            .unwrap();
+        let cqe = sim.block_on({
+            let scq = a.send_cq.clone();
+            async move { wait_cqe(&scq).await }
+        });
+        assert_eq!(cqe.wr_id, WrId(9));
+        assert_eq!(cqe.status, CqeStatus::RnrRetryExceeded, "{mode}");
+        assert_eq!(a.nic.qp_state(a.qpn).unwrap(), QpState::Error);
+        assert_eq!(a.nic.retx_stats().1, 1, "{mode}: exhaustion counted");
+        // 2 RNR rounds replayed before the 3rd NAK errored out.
+        assert_eq!(a.nic.retx_stats().0, 2, "{mode}");
+    }
+}
+
+#[test]
+fn disarming_retx_cancels_a_pending_rnr_backoff() {
     let sim = Sim::new();
     let (a, b) = lossy_rc_pair(&sim, 25.0, 16 << 20);
-    // Nobody ever posts a receive: every replay draws another RNR NAK
-    // until the capped budget errors the QP out.
+    const BACKOFF: SimDuration = SimDuration::from_us(500);
     let cfg = RetxConfig {
-        rnr_timeout: SimDuration::from_us(10),
-        max_rnr_retries: 2,
+        rnr_timeout: BACKOFF,
         ..RetxConfig::default()
     };
-    a.nic.set_rc_retx(a.qpn, Some(cfg)).unwrap();
-    let src = a.mem.alloc_from(&pattern(0, 4096));
+    arm(&a, &b, cfg);
+    let src = a.mem.alloc_from(&pattern(0, 64));
     let mra = a.nic.mr_table().register(a.mem.clone(), src, Access::all());
     a.nic
         .post_send(
             a.qpn,
             SendWqe::send(
-                WrId(9),
+                WrId(1),
                 Sge {
                     addr: src.addr,
-                    len: 4096,
+                    len: 64,
                     lkey: mra.lkey,
                 },
             ),
             false,
         )
         .unwrap();
-    let cqe = sim.block_on({
-        let scq = a.send_cq.clone();
-        async move { wait_cqe(&scq).await }
+    // No receive is posted: the send draws an RNR NAK within a few µs,
+    // which arms the requester's backoff timer.
+    sim.block_on({
+        let s = sim.clone();
+        async move { s.sleep(SimDuration::from_us(50)).await }
     });
-    assert_eq!(cqe.wr_id, WrId(9));
-    assert_eq!(cqe.status, CqeStatus::RnrRetryExceeded);
-    assert_eq!(a.nic.qp_state(a.qpn).unwrap(), QpState::Error);
-    assert_eq!(a.nic.retx_stats().1, 1, "exhaustion counted");
-    // 2 RNR rounds replayed before the 3rd NAK errored out.
-    assert_eq!(a.nic.retx_stats().0, 2);
-    drop(b);
+    a.nic.set_rc_retx(a.qpn, None).unwrap();
+    // Nothing is left pending: the simulation drains long before the
+    // backoff would have fired, and nothing replays.
+    sim.run();
+    assert!(
+        sim.now() < SimTime::ZERO + BACKOFF,
+        "sim ran to {} — a cancelled RNR backoff still fired",
+        sim.now()
+    );
+    assert_eq!(a.nic.retx_stats(), (0, 0));
+}
+
+#[test]
+fn rejected_write_flushes_the_requester_under_both_rules() {
+    for mode in MODES {
+        let (statuses, untouched) = rejected_write_then_valid(mode);
+        assert_eq!(
+            statuses,
+            [
+                (WrId(1), CqeStatus::RemoteAccessErr),
+                (WrId(2), CqeStatus::WrFlushErr)
+            ],
+            "{mode}"
+        );
+        assert!(untouched, "{mode}: rejected write landed bytes");
+    }
+}
+
+/// A two-fragment write to a region without remote-write permission,
+/// followed in flight by a valid write. Returns the requester's
+/// completions and whether the rejected region is still untouched.
+fn rejected_write_then_valid(mode: RetxMode) -> (Vec<(WrId, CqeStatus)>, bool) {
+    let sim = Sim::new();
+    let (a, b) = lossy_rc_pair(&sim, 25.0, 16 << 20);
+    arm(
+        &a,
+        &b,
+        RetxConfig {
+            mode,
+            ..RetxConfig::default()
+        },
+    );
+    const LEN: usize = 8192;
+    let src = a.mem.alloc_from(&pattern(0, LEN));
+    let mra = a.nic.mr_table().register(a.mem.clone(), src, Access::all());
+    let bad = b.mem.alloc(LEN, 0xEE);
+    let mr_bad = b.nic.mr_table().register(
+        b.mem.clone(),
+        bad,
+        Access::LOCAL_WRITE.union(Access::REMOTE_READ),
+    );
+    let good = b.mem.alloc(LEN, 0);
+    let mr_good = b
+        .nic
+        .mr_table()
+        .register(b.mem.clone(), good, Access::all());
+    let sge = Sge {
+        addr: src.addr,
+        len: LEN,
+        lkey: mra.lkey,
+    };
+    for (wr, dst, rkey) in [(1, bad, mr_bad.rkey), (2, good, mr_good.rkey)] {
+        a.nic
+            .post_send(a.qpn, SendWqe::write(WrId(wr), sge, dst.addr, rkey), false)
+            .unwrap();
+    }
+    sim.run();
+    assert_eq!(a.nic.qp_state(a.qpn).unwrap(), QpState::Error, "{mode}");
+    let statuses = std::iter::from_fn(|| a.send_cq.poll_one())
+        .map(|c| (c.wr_id, c.status))
+        .collect();
+    let untouched = b
+        .mem
+        .read(bad.addr, LEN)
+        .unwrap()
+        .iter()
+        .all(|&x| x == 0xEE);
+    (statuses, untouched)
 }
 
 #[test]
