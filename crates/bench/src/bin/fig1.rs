@@ -8,10 +8,9 @@
 //! Paper reference values (Fig. 1a): baseline 0.99/1.95/86 µs; no-KB
 //! 1.06/1.95/86; no-polling 4.69/4.16/90; no-ZC 1.03/2.31/229.
 
-use cord_bench::{iters_for, pow2_sizes, print_table, save_json};
+use cord_bench::{iters_for, par_map, pow2_sizes, print_table, save_json};
 use cord_hw::system_l;
 use cord_perftest::{run_test, EmuKnobs, TestOp, TestSpec};
-use rayon::prelude::*;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -33,27 +32,24 @@ fn knob_sets() -> Vec<(&'static str, EmuKnobs)> {
 fn main() {
     // --- Fig. 1a: latency table -----------------------------------------
     let lat_sizes = [16usize, 4096, 1 << 20];
-    let lat: Vec<(String, Vec<f64>)> = knob_sets()
-        .par_iter()
-        .map(|(name, knobs)| {
-            let row: Vec<f64> = lat_sizes
-                .iter()
-                .map(|&size| {
-                    run_test(
-                        system_l(),
-                        TestSpec::new(TestOp::SendLat)
-                            .size(size)
-                            .iters(100)
-                            .warmup(10)
-                            .knobs(*knobs),
-                        1,
-                    )
-                    .lat_avg_us
-                })
-                .collect();
-            (name.to_string(), row)
-        })
-        .collect();
+    let lat: Vec<(String, Vec<f64>)> = par_map(&knob_sets(), |(name, knobs)| {
+        let row: Vec<f64> = lat_sizes
+            .iter()
+            .map(|&size| {
+                run_test(
+                    system_l(),
+                    TestSpec::new(TestOp::SendLat)
+                        .size(size)
+                        .iters(100)
+                        .warmup(10)
+                        .knobs(*knobs),
+                    1,
+                )
+                .lat_avg_us
+            })
+            .collect();
+        (name.to_string(), row)
+    });
 
     let rows: Vec<Vec<String>> = lat
         .iter()
@@ -71,40 +67,32 @@ fn main() {
 
     // --- Fig. 1b: relative bandwidth ------------------------------------
     let sizes = pow2_sizes(16, 16 << 20);
-    let baselines: Vec<(usize, f64)> = sizes
-        .par_iter()
-        .map(|&size| {
-            let iters = iters_for(size, 256 << 20, 100, 2000);
-            let m = run_test(
-                system_l(),
-                TestSpec::new(TestOp::SendBw).size(size).iters(iters),
-                1,
-            );
-            (size, m.bw_gbps)
+    // One pool over every (variant, size) point, baseline first, so the
+    // slow large-message points of all variants overlap.
+    let variants = knob_sets();
+    let points: Vec<(EmuKnobs, usize)> = variants
+        .iter()
+        .flat_map(|&(_, knobs)| sizes.iter().map(move |&size| (knobs, size)))
+        .collect();
+    let bw: Vec<f64> = par_map(&points, |&(knobs, size)| {
+        let iters = iters_for(size, 256 << 20, 100, 2000);
+        let spec = TestSpec::new(TestOp::SendBw).size(size).iters(iters);
+        run_test(system_l(), spec.knobs(knobs), 1).bw_gbps
+    });
+    let (base_bw, variant_bw) = bw.split_at(sizes.len());
+    let baselines: Vec<(usize, f64)> = sizes.iter().copied().zip(base_bw.iter().copied()).collect();
+    let baseline_small = baselines[0].1;
+    let rel_series: Vec<(String, Vec<(usize, f64)>)> = variants[1..]
+        .iter()
+        .zip(variant_bw.chunks(sizes.len()))
+        .map(|(&(name, _), series)| {
+            let rel = baselines
+                .iter()
+                .zip(series)
+                .map(|(&(size, base), m)| (size, m / base));
+            (name.to_string(), rel.collect())
         })
         .collect();
-    let baseline_small = baselines[0].1;
-
-    let mut rel_series = Vec::new();
-    for (name, knobs) in knob_sets().into_iter().skip(1) {
-        let series: Vec<(usize, f64)> = sizes
-            .par_iter()
-            .zip(&baselines)
-            .map(|(&size, &(_, base))| {
-                let iters = iters_for(size, 256 << 20, 100, 2000);
-                let m = run_test(
-                    system_l(),
-                    TestSpec::new(TestOp::SendBw)
-                        .size(size)
-                        .iters(iters)
-                        .knobs(knobs),
-                    1,
-                );
-                (size, m.bw_gbps / base)
-            })
-            .collect();
-        rel_series.push((name.to_string(), series));
-    }
 
     let rows: Vec<Vec<String>> = sizes
         .iter()

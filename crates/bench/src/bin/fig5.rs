@@ -4,12 +4,11 @@
 //!     because the CoRD prototype lacks inline sends;
 //! (b) relative throughput vs size (recovers by ~2¹⁶).
 
-use cord_bench::{iters_for, pow2_sizes, print_table, save_json};
+use cord_bench::{iters_for, par_map, pow2_sizes, print_table, save_json};
 use cord_hw::system_a;
 use cord_perftest::{run_test, TestOp, TestSpec};
 use cord_sim::stats::split_modes;
 use cord_verbs::{Dataplane, Transport};
-use rayon::prelude::*;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -36,44 +35,41 @@ fn main() {
     ];
     // --- Fig. 5a: latency overhead vs size ------------------------------
     let lat_sizes = pow2_sizes(64, 1 << 13);
-    let fig5a: Vec<Fig5a> = lat_combos
-        .par_iter()
-        .map(|&(op, tr, label)| {
-            let points: Vec<(usize, f64)> = lat_sizes
-                .par_iter()
-                .filter(|&&s| tr != Transport::Ud || s <= 4096)
-                .map(|&size| {
-                    let lat = |c, s2, seed| {
-                        run_test(
-                            system_a(),
-                            TestSpec::new(op)
-                                .transport(tr)
-                                .size(size)
-                                .iters(120)
-                                .warmup(12)
-                                .modes(c, s2),
-                            seed,
-                        )
-                        .lat_avg_us
-                    };
-                    use Dataplane::{Bypass as BP, Cord as CD};
-                    (size, lat(CD, CD, 5) - lat(BP, BP, 5))
-                })
-                .collect();
-            let samples: Vec<f64> = points.iter().map(|p| p.1).collect();
-            let split = split_modes(&samples);
-            let (lo, hi, bimodal) = split
-                .map(|m| (m.low_mean, m.high_mean, m.is_bimodal()))
-                .unwrap_or((0.0, 0.0, false));
-            Fig5a {
-                mode: label.to_string(),
-                points,
-                low_mode_us: lo,
-                high_mode_us: hi,
-                bimodal,
-            }
-        })
-        .collect();
+    let fig5a: Vec<Fig5a> = par_map(&lat_combos, |&(op, tr, label)| {
+        let points: Vec<(usize, f64)> = lat_sizes
+            .iter()
+            .filter(|&&s| tr != Transport::Ud || s <= 4096)
+            .map(|&size| {
+                let lat = |c, s2, seed| {
+                    run_test(
+                        system_a(),
+                        TestSpec::new(op)
+                            .transport(tr)
+                            .size(size)
+                            .iters(120)
+                            .warmup(12)
+                            .modes(c, s2),
+                        seed,
+                    )
+                    .lat_avg_us
+                };
+                use Dataplane::{Bypass as BP, Cord as CD};
+                (size, lat(CD, CD, 5) - lat(BP, BP, 5))
+            })
+            .collect();
+        let samples: Vec<f64> = points.iter().map(|p| p.1).collect();
+        let split = split_modes(&samples);
+        let (lo, hi, bimodal) = split
+            .map(|m| (m.low_mean, m.high_mean, m.is_bimodal()))
+            .unwrap_or((0.0, 0.0, false));
+        Fig5a {
+            mode: label.to_string(),
+            points,
+            low_mode_us: lo,
+            high_mode_us: hi,
+            bimodal,
+        }
+    });
 
     for s in &fig5a {
         let rows: Vec<Vec<String>> = s
@@ -95,15 +91,14 @@ fn main() {
 
     // --- Fig. 5b: relative throughput ------------------------------------
     let bw_sizes = pow2_sizes(1 << 12, 1 << 17);
-    let fig5b: Vec<Fig5b> = [
+    let bw_combos = [
         (TestOp::ReadBw, Transport::Rc, "Read/RC"),
         (TestOp::WriteBw, Transport::Rc, "Write/RC"),
         (TestOp::SendBw, Transport::Rc, "Send/RC"),
-    ]
-    .par_iter()
-    .map(|&(op, tr, label)| {
+    ];
+    let fig5b: Vec<Fig5b> = par_map(&bw_combos, |&(op, tr, label)| {
         let points: Vec<(usize, f64)> = bw_sizes
-            .par_iter()
+            .iter()
             .map(|&size| {
                 let iters = iters_for(size, 128 << 20, 150, 1500);
                 let run = |c, s2| {
@@ -125,8 +120,7 @@ fn main() {
             mode: label.to_string(),
             points,
         }
-    })
-    .collect();
+    });
 
     for s in &fig5b {
         let rows: Vec<Vec<String>> = s

@@ -1,7 +1,7 @@
 //! Shared plumbing for the figure-harness binaries: table rendering, JSON
-//! result persistence (under `results/`), the CI perf-regression gate
-//! over simbench digests ([`gate`]), and the Chrome/Perfetto trace
-//! exporter ([`perfetto`]).
+//! result persistence (under `results/`), an order-preserving parallel map
+//! ([`par_map`]), the CI perf-regression gate over simbench digests
+//! ([`gate`]), and the Chrome/Perfetto trace exporter ([`perfetto`]).
 
 use std::fs;
 use std::path::PathBuf;
@@ -9,7 +9,10 @@ use std::path::PathBuf;
 use serde::Serialize;
 
 pub mod gate;
+mod par;
 pub mod perfetto;
+
+pub use par::par_map;
 
 /// Pretty-print a table with a header row.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {

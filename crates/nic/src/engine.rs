@@ -7,10 +7,17 @@
 //! multi-megabyte message cannot head-of-line-block other QPs — matching how
 //! ConnectX hardware interleaves QP schedules.
 //!
-//! Each fragment's payload is fetched by DMA ([`DmaEngine::enqueue`], FIFO,
-//! pipelined) and the frame enters the fabric when the fetch completes. A
-//! window semaphore bounds in-flight fragments so the scheduler paces at
-//! the bottleneck (DMA or wire) rate instead of queueing unboundedly.
+//! The requester keeps one path per job. Every WQE, fresh from the SQ or
+//! replayed from the retransmission window, starts the same way (bill the
+//! per-WQE cost, validate local memory, then issue the read request or set
+//! up segmentation). Every data fragment, a send or write fragment or a
+//! read-response fragment, leaves through one launcher: its payload is
+//! fetched by DMA ([`DmaEngine::enqueue`], FIFO, pipelined) and the frame
+//! enters the fabric when the fetch completes. A window semaphore bounds
+//! in-flight fragments so the scheduler paces at the bottleneck (DMA or
+//! wire) rate instead of queueing unboundedly. Every work request that
+//! ends in error leaves through one exit: one error completion, then an RC
+//! QP flushes.
 //!
 //! ## RX path
 //! A single RX task serializes per-packet processing, asks the QP's
@@ -25,21 +32,20 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use cord_hw::link::Frame;
-use cord_hw::PayloadSeg;
-use cord_hw::{DmaDir, DmaEngine, MachineSpec};
+use cord_hw::{DmaDir, DmaEngine, GuestMem, MachineSpec, PayloadSeg};
 use cord_net::Network;
 use cord_sim::sync::{Notify, Receiver, Semaphore};
-use cord_sim::{FifoResource, Sim, SimDuration, SimTime, Subsystem, Trace, TraceKind};
+use cord_sim::{FifoResource, Sim, SimDuration, Subsystem, Trace, TraceKind};
 
 use crate::cc::{CcAlgorithm, Dcqcn, CNP_MIN_INTERVAL};
 use crate::cq::{Cq, Cqe, CqeOpcode, CqeStatus};
 use crate::mr::MrTable;
 use crate::packet::{NakReason, Packet, PacketKind};
 use crate::qp::{
-    Action, Kind, PendingAck, PendingRead, Qp, RecvAssembly, RetxConfig, RetxEntry, RetxMode,
-    RetxState, TxProgress,
+    Action, Frags, Kind, PendingAck, PendingRead, Qp, RecvAssembly, RetxConfig, RetxState,
+    TxProgress,
 };
-use crate::types::{CqId, NodeId, Opcode, QpNum, QpState, Transport, VerbsError};
+use crate::types::{CqId, NodeId, Opcode, QpNum, QpState, Transport, VerbsError, WrId};
 use crate::wqe::{RecvWqe, SendWqe};
 
 /// Max fragments a QP may transmit before yielding to the round-robin ring.
@@ -556,15 +562,48 @@ fn flush_qp(inner: &Rc<NicInner>, qp: &mut Qp) {
     );
 }
 
+/// The one requester exit for a work request that ends in error: drop
+/// message `msg_id`'s pending ACK or read record, push one `status`
+/// completion for its WR (`wr` names a WR that has no record yet), abandon
+/// a mid-segmentation pass of it, and flush an RC QP. A message with
+/// neither a record nor `wr` pushes nothing and leaves its pass for the
+/// flush to complete.
+fn fail_wr(
+    inner: &Rc<NicInner>,
+    qp: &mut Qp,
+    msg_id: u64,
+    wr: Option<(WrId, Opcode)>,
+    status: CqeStatus,
+) {
+    let pending = match qp.pending_acks.remove(&msg_id) {
+        Some(pa) => Some((pa.wr_id, pa.opcode)),
+        None => qp.pending_reads.remove(&msg_id).map(|pr| {
+            qp.outstanding_reads -= 1;
+            (pr.wr_id, Opcode::RdmaRead)
+        }),
+    };
+    if let Some((wr_id, opcode)) = pending.or(wr) {
+        qp.send_cq
+            .push(Cqe::new(wr_id, status, opcode.into(), 0, qp.num));
+        if qp.tx.as_ref().is_some_and(|tx| tx.msg_id == msg_id) {
+            qp.tx = None;
+        }
+    }
+    if qp.transport == Transport::Rc {
+        flush_qp(inner, qp);
+    }
+}
+
 /// ===================== RC retransmission: sender =====================
 ///
 /// The window holds every unacked WQE in message order; one timer per QP
 /// covers the oldest unacked message and is re-armed (tombstone-cancel +
 /// fresh wheel insert, no allocation) on every ACK. A timeout or gap
 /// notice (SACK) queues every fully transmitted window entry for replay;
-/// the TX scheduler drains that queue ahead of fresh sends, reusing the
-/// original message ids so the receive window accepts the replay. Retry
-/// exhaustion surfaces as a `RetryExcErr` completion and flushes the QP.
+/// the TX scheduler starts the head of that queue ahead of the SQ head,
+/// through the same start as a fresh WQE, reusing the original message id
+/// so the receive window accepts the replay. Retry exhaustion ends the
+/// oldest WR through the error exit (`RetryExcErr`), which flushes the QP.
 /// Reset the QP's retransmit timer to `timeout` from now (cancelling any
 /// pending one); disarms when the window is empty.
 fn arm_retx_timer(inner: &Rc<NicInner>, qp: &mut Qp) {
@@ -622,28 +661,11 @@ fn retx_timeout(inner: &Rc<NicInner>, qpn: QpNum) {
     }
     rx.retries += 1;
     if rx.retries > rx.cfg.max_retries {
-        // Retry exhausted: error completion for the oldest unacked WQE,
-        // then flush the QP (IB semantics for transport retry errors).
+        // Retry exhausted: the oldest unacked WR ends in error and the QP
+        // flushes (IB semantics for transport retry errors).
         let e = rx.window.front().expect("window checked non-empty");
-        let (wr_id, opcode, msg_id) = (e.wqe.wr_id, e.wqe.opcode, e.msg_id);
+        let (msg_id, wr) = (e.msg_id, (e.wqe.wr_id, e.wqe.opcode));
         inner.retx_exhausted.set(inner.retx_exhausted.get() + 1);
-        qp.pending_acks.remove(&msg_id);
-        if qp.pending_reads.remove(&msg_id).is_some() {
-            qp.outstanding_reads -= 1;
-        }
-        // The WQE gets its terminal CQE below; if a replay of it is
-        // mid-segmentation, drop that progress so flush_qp cannot emit a
-        // second completion for the same WR.
-        if qp.tx.as_ref().is_some_and(|tx| tx.msg_id == msg_id) {
-            qp.tx = None;
-        }
-        qp.send_cq.push(Cqe::new(
-            wr_id,
-            CqeStatus::RetryExcErr,
-            opcode.into(),
-            0,
-            qpn,
-        ));
         inner.trace.emit(
             inner.sim.now(),
             TraceKind::RetxExhausted {
@@ -651,7 +673,7 @@ fn retx_timeout(inner: &Rc<NicInner>, qpn: QpNum) {
                 qpn: qpn.0,
             },
         );
-        flush_qp(inner, &mut qp);
+        fail_wr(inner, &mut qp, msg_id, Some(wr), CqeStatus::RetryExcErr);
         return;
     }
     let queued = rx.queue_replay();
@@ -743,6 +765,10 @@ fn rnr_fire(inner: &Rc<NicInner>, qpn: QpNum) {
 }
 
 /// ===================== TX scheduler =====================
+///
+/// One task round-robins the QPs in the ring at burst granularity: each
+/// turn starts the QP's next WQE (replay first) if it has none in
+/// progress, then segments it through the fragment launcher.
 async fn tx_loop(inner: Rc<NicInner>) {
     loop {
         let qpn = loop {
@@ -814,245 +840,89 @@ enum StartOutcome {
     Consumed(u32),
 }
 
+/// Start the QP's next WQE: the head of the replay queue, or else the SQ
+/// head. Both run one sequence — bill the per-WQE cost, validate local
+/// memory, then issue the read request or set up segmentation. A replay
+/// differs only in its data: the original message id (so the receive
+/// window accepts it), the window's WQE snapshot (payload re-read from
+/// guest memory), the selective-repeat skip mask, and the replay trace
+/// stamps.
 async fn start_next_wqe(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>) -> StartOutcome {
-    // Go-back-N replays run ahead of fresh sends (the receiver is waiting
-    // on exactly these message ids).
-    if let Some(out) = start_replay(inner, qp_rc).await {
-        return out;
-    }
-    // Peek first: reads may stall without consuming the WQE.
-    {
-        let qp = qp_rc.borrow();
-        match qp.sq.front() {
-            None => return StartOutcome::NothingToDo,
-            Some(w) if w.opcode == Opcode::RdmaRead && qp.outstanding_reads >= qp.max_rd_atomic => {
-                return StartOutcome::StalledOnReads;
-            }
-            Some(_) => {}
-        }
-    }
-    // Per-WQE NIC processing cost.
-    inner
-        .tx_pipeline
-        .use_for(inner.pipe_cost(inner.spec.nic.wqe_proc_ns))
-        .await;
-
-    let (wqe, msg_id, peer) = {
-        let mut qp = qp_rc.borrow_mut();
-        let Some(wqe) = qp.sq.pop_front() else {
-            return StartOutcome::NothingToDo;
-        };
-        let msg_id = qp.alloc_msg_id();
-        if qp.transport == Transport::Rc {
-            if let Some(rx) = qp.retx.as_mut() {
-                rx.window.push_back(RetxEntry {
-                    msg_id,
-                    wqe: wqe.clone(),
-                    sent: false,
-                });
-            }
-        }
-        let peer = qp.peer;
-        (wqe, msg_id, peer)
-    };
-
-    // Local memory validation: TX fetch for sends/writes, local landing
-    // (needs LOCAL_WRITE) for reads.
-    let needs_write = wqe.opcode == Opcode::RdmaRead;
-    let mr = match inner
-        .mrs
-        .check_local(wqe.sge.lkey, wqe.sge.addr, wqe.sge.len, needs_write)
-    {
-        Ok(mr) => mr,
-        Err(_) => {
-            let mut qp = qp_rc.borrow_mut();
-            let cqe = Cqe::new(
-                wqe.wr_id,
-                CqeStatus::LocalProtErr,
-                wqe.opcode.into(),
-                0,
-                qp.num,
-            );
-            qp.send_cq.push(cqe);
-            if qp.transport == Transport::Rc {
-                flush_qp(inner, &mut qp);
-            }
-            return StartOutcome::Consumed(1);
-        }
-    };
-
-    match wqe.opcode {
-        Opcode::RdmaRead => {
-            let (raddr, rkey) = wqe.remote.expect("validated at post");
-            let (dst_node, dst_qpn) = peer.expect("RC read on connected QP");
-            {
-                let mut qp = qp_rc.borrow_mut();
-                qp.outstanding_reads += 1;
-                qp.pending_reads.insert(
-                    msg_id,
-                    PendingRead {
-                        wr_id: wqe.wr_id,
-                        signaled: wqe.signaled,
-                        addr: wqe.sge.addr,
-                        len: wqe.sge.len,
-                        lkey: wqe.sge.lkey,
-                        next_frag: 0,
-                        got: 0,
-                    },
-                );
-            }
-            let src_qpn = qp_rc.borrow().num;
-            transmit(
-                inner,
-                Packet {
-                    src_node: inner.node,
-                    dst_node,
-                    src_qpn,
-                    dst_qpn,
-                    ecn: false,
-                    kind: PacketKind::ReadReq {
-                        msg_id,
-                        raddr,
-                        rkey,
-                        len: wqe.sge.len,
-                    },
-                },
-            );
-            {
-                let mut qp = qp_rc.borrow_mut();
-                mark_sent_and_arm(inner, &mut qp, msg_id);
-            }
-            StartOutcome::Consumed(1)
-        }
-        Opcode::Send | Opcode::RdmaWrite => {
-            let nfrags = inner.spec.fragments(wqe.sge.len) as u32;
-            qp_rc.borrow_mut().tx = Some(TxProgress {
-                wqe,
-                msg_id,
-                next_frag: 0,
-                nfrags,
-                mem: mr.mem,
-                skip: 0,
-            });
-            StartOutcome::Started
-        }
-    }
-}
-
-/// Pull the next queued go-back-N replay, if any: re-segment a send/write
-/// from its window snapshot (original message id, payload re-read from
-/// guest memory) or re-issue a read request. Returns `None` when there is
-/// nothing to replay.
-async fn start_replay(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>) -> Option<StartOutcome> {
-    // Cheap peek before billing the pipeline.
-    {
-        let qp = qp_rc.borrow();
-        match &qp.retx {
-            Some(rx) if !rx.rtx.is_empty() => {}
-            _ => return None,
-        }
-    }
-    inner
-        .tx_pipeline
-        .use_for(inner.pipe_cost(inner.spec.nic.wqe_proc_ns))
-        .await;
-    let (msg_id, wqe, peer, qpn, drained, skip) = {
-        let mut qp = qp_rc.borrow_mut();
-        let peer = qp.peer;
-        let qpn = qp.num;
-        let rx = qp.retx.as_mut()?;
-        let mut found = None;
-        while let Some(mid) = rx.rtx.pop_front() {
-            // ACKed while queued for replay: skip.
-            if let Some(e) = rx.window.iter().find(|e| e.msg_id == mid) {
-                found = Some((mid, e.wqe.clone()));
-                break;
-            }
-        }
-        let drained = rx.rtx.is_empty();
-        let (mid, wqe) = found?;
-        // Selective repeat: the receiver's SACK said which fragments it
-        // already holds — this replay pass skips them. Consumed here; a
-        // later round re-learns the (monotonically grown) bitmap from the
-        // next SACK.
-        let skip = rx.rtx_mask.remove(&mid).unwrap_or(0);
-        (mid, wqe, peer, qpn, drained, skip)
-    };
-    inner.trace.emit(
-        inner.sim.now(),
-        TraceKind::ReplayStart {
-            node: inner.node as u32,
-            qpn: qpn.0,
-            msg_seq: msg_id as u32,
-        },
-    );
-    if drained {
-        // The last queued message entered replay: the window closes here
-        // (the exporter pairs the first ReplayStart with this).
-        inner.trace.emit(
-            inner.sim.now(),
-            TraceKind::ReplayEnd {
-                node: inner.node as u32,
-                qpn: qpn.0,
-            },
-        );
-    }
-    match wqe.opcode {
-        Opcode::RdmaRead => {
-            // Re-issue the read request iff the read is still outstanding
-            // (its completion may have raced the replay decision).
-            let pending = qp_rc.borrow().pending_reads.contains_key(&msg_id);
-            if pending {
-                let (raddr, rkey) = wqe.remote.expect("validated at post");
-                let (dst_node, dst_qpn) = peer.expect("RC read on connected QP");
-                let src_qpn = qp_rc.borrow().num;
-                transmit(
-                    inner,
-                    Packet {
-                        src_node: inner.node,
-                        dst_node,
-                        src_qpn,
-                        dst_qpn,
-                        ecn: false,
-                        kind: PacketKind::ReadReq {
-                            msg_id,
-                            raddr,
-                            rkey,
-                            len: wqe.sge.len,
-                        },
-                    },
-                );
-            }
-            Some(StartOutcome::Consumed(1))
-        }
-        Opcode::Send | Opcode::RdmaWrite => {
-            let mr = match inner
-                .mrs
-                .check_local(wqe.sge.lkey, wqe.sge.addr, wqe.sge.len, false)
-            {
-                Ok(mr) => mr,
-                Err(_) => {
-                    // The source region vanished between transmissions:
-                    // surface it exactly like a fresh-WQE failure. The
-                    // message's first-pass pending-ack record must go
-                    // first — this CQE is the WR's terminal completion,
-                    // and flush_qp would otherwise emit a second one.
-                    let mut qp = qp_rc.borrow_mut();
-                    qp.pending_acks.remove(&msg_id);
-                    let cqe = Cqe::new(
-                        wqe.wr_id,
-                        CqeStatus::LocalProtErr,
-                        wqe.opcode.into(),
-                        0,
-                        qp.num,
-                    );
-                    qp.send_cq.push(cqe);
-                    flush_qp(inner, &mut qp);
-                    return Some(StartOutcome::Consumed(1));
+    loop {
+        // Peek before billing: replays run ahead of fresh sends (the
+        // receiver is waiting on exactly these message ids), and a fresh
+        // read may stall without consuming its WQE.
+        let queued = {
+            let qp = qp_rc.borrow();
+            let queued = qp.retx.as_ref().is_some_and(|rx| !rx.rtx.is_empty());
+            match qp.sq.front() {
+                _ if queued => {}
+                None => return StartOutcome::NothingToDo,
+                Some(w)
+                    if w.opcode == Opcode::RdmaRead && qp.outstanding_reads >= qp.max_rd_atomic =>
+                {
+                    return StartOutcome::StalledOnReads;
                 }
-            };
-            let nfrags = inner.spec.fragments(wqe.sge.len) as u32;
-            qp_rc.borrow_mut().tx = Some(TxProgress {
+                Some(_) => {}
+            }
+            queued
+        };
+        // Per-WQE NIC processing cost.
+        inner
+            .tx_pipeline
+            .use_for(inner.pipe_cost(inner.spec.nic.wqe_proc_ns))
+            .await;
+        let next = {
+            let mut qp = qp_rc.borrow_mut();
+            if queued {
+                let next = qp.retx.as_mut().and_then(|rx| rx.next_replay());
+                next.map(|(m, wqe, skip, drained)| (m, wqe, skip, Some(drained)))
+            } else {
+                qp.next_fresh().map(|(m, wqe)| (m, wqe, 0, None))
+            }
+        };
+        let (msg_id, wqe, skip, replay) = match next {
+            Some(next) => next,
+            // ACKs emptied the replay queue during the billing: start the
+            // SQ head, billed again.
+            None if queued => continue,
+            None => return StartOutcome::NothingToDo,
+        };
+        if let Some(drained) = replay {
+            let (node, qpn) = (inner.node as u32, qp_rc.borrow().num.0);
+            let now = inner.sim.now();
+            let msg_seq = msg_id as u32;
+            inner
+                .trace
+                .emit(now, TraceKind::ReplayStart { node, qpn, msg_seq });
+            if drained {
+                // The last queued message entered replay: the window closes
+                // here (the exporter pairs the first ReplayStart with this).
+                inner.trace.emit(now, TraceKind::ReplayEnd { node, qpn });
+            }
+        }
+        // Local memory validation: TX fetch for sends/writes, local landing
+        // (needs LOCAL_WRITE) for reads. A replay whose region vanished
+        // between passes fails exactly like a fresh WQE.
+        let read = wqe.opcode == Opcode::RdmaRead;
+        let Ok(mr) = inner
+            .mrs
+            .check_local(wqe.sge.lkey, wqe.sge.addr, wqe.sge.len, read)
+        else {
+            let wr = Some((wqe.wr_id, wqe.opcode));
+            fail_wr(
+                inner,
+                &mut qp_rc.borrow_mut(),
+                msg_id,
+                wr,
+                CqeStatus::LocalProtErr,
+            );
+            return StartOutcome::Consumed(1);
+        };
+        let nfrags = inner.spec.fragments(wqe.sge.len) as u32;
+        let mut qp = qp_rc.borrow_mut();
+        if !read {
+            qp.tx = Some(TxProgress {
                 wqe,
                 msg_id,
                 next_frag: 0,
@@ -1060,8 +930,45 @@ async fn start_replay(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>) -> Option<S
                 mem: mr.mem,
                 skip,
             });
-            Some(StartOutcome::Started)
+            return StartOutcome::Started;
         }
+        // A read is one request packet. A fresh read opens its pending
+        // record; a replay re-issues the request only while the read is
+        // still pending (its completion may have raced the replay).
+        if replay.is_none() {
+            qp.outstanding_reads += 1;
+            let pr = PendingRead {
+                wr_id: wqe.wr_id,
+                signaled: wqe.signaled,
+                addr: wqe.sge.addr,
+                len: wqe.sge.len,
+                lkey: wqe.sge.lkey,
+                frags: Frags::new(nfrags),
+            };
+            qp.pending_reads.insert(msg_id, pr);
+        } else if !qp.pending_reads.contains_key(&msg_id) {
+            return StartOutcome::Consumed(1);
+        }
+        let (raddr, rkey) = wqe.remote.expect("validated at post");
+        let dst = qp.peer.expect("RC read on connected QP");
+        let len = wqe.sge.len;
+        let req = packet(
+            inner,
+            qp.num,
+            dst,
+            PacketKind::ReadReq {
+                msg_id,
+                raddr,
+                rkey,
+                len,
+            },
+        );
+        drop(qp);
+        transmit(inner, req);
+        if replay.is_none() {
+            mark_sent_and_arm(inner, &mut qp_rc.borrow_mut(), msg_id);
+        }
+        return StartOutcome::Consumed(1);
     }
 }
 
@@ -1074,10 +981,7 @@ async fn emit_fragments(
     qp_rc: &Rc<RefCell<Qp>>,
     mut budget: u32,
 ) -> Option<u32> {
-    loop {
-        if budget == 0 {
-            return Some(0);
-        }
+    while budget > 0 {
         // Selective-repeat replay: advance past fragments the receiver
         // SACKed as already held. A pass that ends on a skipped tail needs
         // no completion bookkeeping — the first pass installed the
@@ -1101,10 +1005,9 @@ async fn emit_fragments(
         }
         // DCQCN pacing: a rate-limited QP may not launch its next data
         // fragment before the inter-packet gap at its current rate.
-        let now = inner.sim.now();
         let gate = {
             let mut qp = qp_rc.borrow_mut();
-            match qp.dcqcn.as_mut().and_then(|d| d.gate(now)) {
+            match qp.dcqcn.as_mut().and_then(|d| d.gate(inner.sim.now())) {
                 Some(at) => {
                     qp.in_ring = false;
                     Some((at, qp.num))
@@ -1117,72 +1020,35 @@ async fn emit_fragments(
             inner.sim.schedule_at(at, move |_| ring_qp(&inner2, qpn));
             return None;
         }
-        // Snapshot fragment parameters without holding the borrow — the
-        // scalars the fragment needs, not a clone of the whole WQE — and
-        // charge the committed fragment against the DCQCN rate in the
-        // same borrow (the gate above was open).
-        let (sge, wr_id, signaled, opcode, imm, remote, ud_dest, inline, msg_id, frag, nfrags) = {
+        let (tx, src_qpn, dst) = {
             let qp = qp_rc.borrow();
-            let Some(tx) = &qp.tx else {
+            let Some(tx) = qp.tx.clone() else {
                 return Some(budget);
             };
-            (
-                tx.wqe.sge,
-                tx.wqe.wr_id,
-                tx.wqe.signaled,
-                tx.wqe.opcode,
-                tx.wqe.imm,
-                tx.wqe.remote,
-                tx.wqe.ud_dest,
-                tx.wqe.inline_data.clone(),
-                tx.msg_id,
-                tx.next_frag,
-                tx.nfrags,
-            )
+            let dst = match (qp.transport, tx.wqe.ud_dest) {
+                (Transport::Rc, _) => qp.peer.expect("RC connected"),
+                (Transport::Ud, d) => d.map(|d| (d.node, d.qpn)).expect("validated at post"),
+            };
+            (tx, qp.num, dst)
         };
-        let mtu = inner.spec.nic.mtu;
-        let offset = frag as usize * mtu;
-        let frag_len = (sge.len - offset).min(mtu);
+        let TxProgress {
+            wqe,
+            msg_id,
+            next_frag: frag,
+            nfrags,
+            mem,
+            ..
+        } = tx;
+        let offset = frag as usize * inner.spec.nic.mtu;
+        let len = (wqe.sge.len - offset).min(inner.spec.nic.mtu);
         let last = frag + 1 == nfrags;
-
-        let (mem, qpn, peer, transport) = {
-            let mut qp = qp_rc.borrow_mut();
-            if let Some(d) = qp.dcqcn.as_mut() {
-                d.charge(now, frag_len + inner.spec.nic.header_bytes);
-            }
-            let Some(tx) = &qp.tx else {
-                return Some(budget);
-            };
-            (tx.mem.clone(), qp.num, qp.peer, qp.transport)
-        };
-
-        // Respect the in-flight window so we pace at the bottleneck.
-        inner.tx_window.acquire(1).await;
-
-        // Fetch payload: inline data was captured at post time; otherwise a
-        // DMA read whose completion gates the frame's entry to the fabric.
-        let (payload, ready): (PayloadSeg, SimTime) = if let Some(inline) = &inline {
-            (inline.slice(offset, frag_len), inner.sim.now())
-        } else {
-            let data = mem
-                .read(sge.addr + offset as u64, frag_len)
-                .expect("range validated at WQE start");
-            (data, inner.dma.enqueue(DmaDir::FromHost, frag_len))
-        };
-
-        let (dst_node, dst_qpn) = match transport {
-            Transport::Rc => peer.expect("RC connected"),
-            Transport::Ud => {
-                let d = ud_dest.expect("validated at post");
-                (d.node, d.qpn)
-            }
-        };
-        let kind = match opcode {
+        let (total_len, imm, remote) = (wqe.sge.len, wqe.imm, wqe.remote);
+        let kind = |payload| match wqe.opcode {
             Opcode::Send => PacketKind::SendFrag {
                 msg_id,
                 frag,
                 nfrags,
-                total_len: sge.len,
+                total_len,
                 offset,
                 payload,
                 imm,
@@ -1193,7 +1059,7 @@ async fn emit_fragments(
                     msg_id,
                     frag,
                     nfrags,
-                    total_len: sge.len,
+                    total_len,
                     raddr,
                     rkey,
                     offset,
@@ -1203,79 +1069,27 @@ async fn emit_fragments(
             }
             Opcode::RdmaRead => unreachable!("reads have no fragments"),
         };
-        let pkt = Packet {
-            src_node: inner.node,
-            dst_node,
-            src_qpn: qpn,
-            dst_qpn,
-            ecn: false,
-            kind,
+        let done = PendingAck {
+            wr_id: wqe.wr_id,
+            signaled: wqe.signaled,
+            opcode: wqe.opcode,
+            byte_len: total_len,
         };
-
-        // Transmit when the payload is on-NIC; release the window then.
-        let inner2 = Rc::clone(inner);
         let qp2 = Rc::clone(qp_rc);
-        let total_len = sge.len;
-        inner.sim.schedule_at(ready, move |_| {
-            transmit(&inner2, pkt);
-            inner2.tx_window.release(1);
-            if last {
-                let mut qp = qp2.borrow_mut();
-                // Which pass just finished? On a retransmitting QP the
-                // window entry tells: missing = the ACK landed mid-replay
-                // (do nothing — re-inserting pending_acks here would pair
-                // with the receiver's duplicate re-ACK into a second
-                // completion); `sent` already true = a replay pass (await
-                // the ACK again but don't re-count the message).
-                let (first_pass, acked) = match qp.retx.as_ref() {
-                    None => (true, false),
-                    Some(rx) => match rx.window.iter().find(|e| e.msg_id == msg_id) {
-                        None => (false, true),
-                        Some(e) => (!e.sent, false),
-                    },
-                };
-                if first_pass {
-                    qp.tx_msgs += 1;
-                    qp.tx_bytes += total_len as u64;
+        launch_frag(
+            inner,
+            qp_rc,
+            (src_qpn, dst),
+            wqe.inline_data.as_ref().map(|d| d.slice(offset, len)),
+            (&mem, wqe.sge.addr + offset as u64, len),
+            kind,
+            move |inner| {
+                if last {
+                    message_sent(inner, &qp2, msg_id, done);
                 }
-                match transport {
-                    Transport::Ud => {
-                        // UD: local completion once the NIC owns the data.
-                        if signaled {
-                            let cqe = Cqe::new(
-                                wr_id,
-                                CqeStatus::Success,
-                                opcode.into(),
-                                total_len,
-                                qp.num,
-                            );
-                            let cq = qp.send_cq.clone();
-                            drop(qp);
-                            deliver_cqe(&inner2, &cq, cqe);
-                        }
-                    }
-                    Transport::Rc if !acked => {
-                        qp.pending_acks.insert(
-                            msg_id,
-                            PendingAck {
-                                wr_id,
-                                signaled,
-                                opcode,
-                                byte_len: total_len,
-                            },
-                        );
-                        mark_sent_and_arm(&inner2, &mut qp, msg_id);
-                    }
-                    Transport::Rc => {}
-                }
-            }
-        });
-
-        // Pace the scheduler: per-packet pipeline occupancy.
-        inner
-            .tx_pipeline
-            .use_for(inner.pipe_cost(inner.spec.nic.tx_pkt_ns))
-            .await;
+            },
+        )
+        .await;
 
         budget -= 1;
         let mut qp = qp_rc.borrow_mut();
@@ -1285,6 +1099,94 @@ async fn emit_fragments(
         } else if let Some(tx) = &mut qp.tx {
             tx.next_frag += 1;
         }
+    }
+    Some(0)
+}
+
+/// Launch one data fragment: a send or write fragment from the TX
+/// scheduler, or a read-response fragment from a responder task. Each
+/// caller has passed its own DCQCN gate (the scheduler leaves the ring
+/// and re-rings on a timer, a responder task sleeps). Then, in order:
+/// charge the fragment against the QP's DCQCN rate, take a TX window
+/// credit, fetch the payload (inline data captured at post time, else a
+/// FromHost DMA read of `len` bytes at `addr`), transmit when the fetch
+/// ends — releasing the credit, then running `on_wire` — and occupy the
+/// TX pipeline for the per-packet cost.
+async fn launch_frag(
+    inner: &Rc<NicInner>,
+    qp_rc: &Rc<RefCell<Qp>>,
+    (src_qpn, dst): (QpNum, (NodeId, QpNum)),
+    inline: Option<PayloadSeg>,
+    (mem, addr, len): (&GuestMem, u64, usize),
+    kind: impl FnOnce(PayloadSeg) -> PacketKind,
+    on_wire: impl FnOnce(&Rc<NicInner>) + 'static,
+) {
+    let now = inner.sim.now();
+    if let Some(d) = qp_rc.borrow_mut().dcqcn.as_mut() {
+        d.charge(now, len + inner.spec.nic.header_bytes);
+    }
+    // Respect the in-flight window so we pace at the bottleneck.
+    inner.tx_window.acquire(1).await;
+    let (payload, ready) = match inline {
+        Some(data) => (data, inner.sim.now()),
+        None => (
+            mem.read(addr, len).expect("range validated"),
+            inner.dma.enqueue(DmaDir::FromHost, len),
+        ),
+    };
+    let pkt = packet(inner, src_qpn, dst, kind(payload));
+    let inner2 = Rc::clone(inner);
+    inner.sim.schedule_at(ready, move |_| {
+        transmit(&inner2, pkt);
+        inner2.tx_window.release(1);
+        on_wire(&inner2);
+    });
+    inner
+        .tx_pipeline
+        .use_for(inner.pipe_cost(inner.spec.nic.tx_pkt_ns))
+        .await;
+}
+
+/// The last fragment of message `msg_id` (described by `done`) reached
+/// the wire: count a first pass, then complete a UD send locally or await
+/// the RC ACK.
+fn message_sent(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>, msg_id: u64, done: PendingAck) {
+    let mut qp = qp_rc.borrow_mut();
+    // Which pass just finished? On a retransmitting QP the window entry
+    // tells: missing = the ACK landed mid-replay (do nothing — re-inserting
+    // pending_acks here would pair with the receiver's duplicate re-ACK
+    // into a second completion); `sent` already true = a replay pass
+    // (await the ACK again but don't re-count the message).
+    let (first_pass, acked) = match qp.retx.as_ref() {
+        None => (true, false),
+        Some(rx) => match rx.window.iter().find(|e| e.msg_id == msg_id) {
+            None => (false, true),
+            Some(e) => (!e.sent, false),
+        },
+    };
+    if first_pass {
+        qp.tx_msgs += 1;
+        qp.tx_bytes += done.byte_len as u64;
+    }
+    match qp.transport {
+        // UD: local completion once the NIC owns the data.
+        Transport::Ud if done.signaled => {
+            let cqe = Cqe::new(
+                done.wr_id,
+                CqeStatus::Success,
+                done.opcode.into(),
+                done.byte_len,
+                qp.num,
+            );
+            let cq = qp.send_cq.clone();
+            drop(qp);
+            deliver_cqe(inner, &cq, cqe);
+        }
+        Transport::Rc if !acked => {
+            qp.pending_acks.insert(msg_id, done);
+            mark_sent_and_arm(inner, &mut qp, msg_id);
+        }
+        _ => {}
     }
 }
 
@@ -1323,53 +1225,48 @@ impl PktHdr {
             dst_qpn: pkt.dst_qpn,
         }
     }
+
+    /// Where a reply to this packet goes: its sender's node and QP.
+    fn back(self) -> (NodeId, QpNum) {
+        (self.src_node, self.src_qpn)
+    }
 }
 
-fn nak(inner: &Rc<NicInner>, hdr: PktHdr, msg_id: u64, reason: NakReason) {
-    transmit(
-        inner,
-        Packet {
-            src_node: inner.node,
-            dst_node: hdr.src_node,
-            src_qpn: hdr.dst_qpn,
-            dst_qpn: hdr.src_qpn,
-            ecn: false,
-            kind: PacketKind::Nak { msg_id, reason },
-        },
-    );
+/// A packet from this NIC's QP `src_qpn` to `dst` — every packet the
+/// engine sends is built here.
+fn packet(
+    inner: &NicInner,
+    src_qpn: QpNum,
+    (dst_node, dst_qpn): (NodeId, QpNum),
+    kind: PacketKind,
+) -> Packet {
+    Packet {
+        src_node: inner.node,
+        dst_node,
+        src_qpn,
+        dst_qpn,
+        ecn: false,
+        kind,
+    }
+}
+
+/// Answer the sender of a received packet: the reversed header, built in
+/// one place for every ACK, NAK, gap notice and CNP.
+fn reply(inner: &Rc<NicInner>, hdr: PktHdr, kind: PacketKind) {
+    transmit(inner, packet(inner, hdr.dst_qpn, hdr.back(), kind));
 }
 
 fn ack(inner: &Rc<NicInner>, hdr: PktHdr, msg_id: u64) {
-    transmit(
-        inner,
-        Packet {
-            src_node: inner.node,
-            dst_node: hdr.src_node,
-            src_qpn: hdr.dst_qpn,
-            dst_qpn: hdr.src_qpn,
-            ecn: false,
-            kind: PacketKind::Ack { msg_id },
-        },
-    );
+    reply(inner, hdr, PacketKind::Ack { msg_id });
 }
 
-fn sack(inner: &Rc<NicInner>, hdr: PktHdr, msg_id: u64, received: u64) {
-    transmit(
-        inner,
-        Packet {
-            src_node: inner.node,
-            dst_node: hdr.src_node,
-            src_qpn: hdr.dst_qpn,
-            dst_qpn: hdr.src_qpn,
-            ecn: false,
-            kind: PacketKind::Sack { msg_id, received },
-        },
-    );
+fn nak(inner: &Rc<NicInner>, hdr: PktHdr, msg_id: u64, reason: NakReason) {
+    reply(inner, hdr, PacketKind::Nak { msg_id, reason });
 }
 
 /// Echo a congestion notification for an ECN-marked arrival, if the
 /// receiving QP participates in DCQCN and its per-QP CNP budget allows.
-fn maybe_echo_cnp(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>, pkt: &Packet) {
+fn maybe_echo_cnp(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>, hdr: PktHdr) {
     let now = inner.sim.now();
     {
         let mut qp = qp_rc.borrow_mut();
@@ -1384,17 +1281,7 @@ fn maybe_echo_cnp(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>, pkt: &Packet) {
         }
         qp.last_cnp_tx = Some(now);
     }
-    transmit(
-        inner,
-        Packet {
-            src_node: inner.node,
-            dst_node: pkt.src_node,
-            src_qpn: pkt.dst_qpn,
-            dst_qpn: pkt.src_qpn,
-            ecn: false,
-            kind: PacketKind::Cnp,
-        },
-    );
+    reply(inner, hdr, PacketKind::Cnp);
 }
 
 fn handle_packet(inner: &Rc<NicInner>, pkt: Packet) {
@@ -1416,14 +1303,14 @@ fn handle_packet(inner: &Rc<NicInner>, pkt: Packet) {
             );
         }
     }
-    // Congestion feedback is independent of WQE state: echo a CNP for any
-    // marked data-bearing arrival before normal processing.
-    if pkt.ecn && pkt.is_data() {
-        maybe_echo_cnp(inner, &qp_rc, &pkt);
-    }
     // Destructure by value: handlers receive the payload without a clone
     // and the header fields as a small `Copy` struct.
     let hdr = PktHdr::of(&pkt);
+    // Congestion feedback is independent of WQE state: echo a CNP for any
+    // marked data-bearing arrival before normal processing.
+    if pkt.ecn && pkt.is_data() {
+        maybe_echo_cnp(inner, &qp_rc, hdr);
+    }
     match pkt.kind {
         PacketKind::SendFrag {
             msg_id,
@@ -1492,16 +1379,18 @@ fn handle_cnp(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>) {
 ///
 /// Every request arrival — send fragment, write fragment, read request —
 /// asks the QP's receive window ([`RxWindow`](crate::qp::RxWindow)) for a
-/// verdict. The window's acceptance rule is the QP's [`RetxMode`]: under
-/// selective repeat fragments install out of order through the idempotent
-/// `GuestMem::install` patch path and each message ACKs individually on
-/// completion; under go-back-N only the next fragment in sequence lands.
-/// Either way one gap notice (a SACK naming the first missing message)
-/// per episode drives the sender's replay, and sends bind receive WQEs in
-/// strict message order at the window's binding floor. QPs without
-/// retransmission keep no window: fragments land in arrival order and a
-/// send binds its WQE at fragment 0. Payload install, CQE and ACK happen
-/// at DMA completion.
+/// verdict. The window's acceptance rule is the QP's
+/// [`RetxMode`](crate::qp::RetxMode): under selective repeat fragments
+/// install out of order through the idempotent `GuestMem::install` patch
+/// path and each message ACKs individually on completion; under go-back-N
+/// only the next fragment in sequence lands. Either way one gap notice (a
+/// SACK naming the first missing message) per episode drives the sender's
+/// replay, and sends bind receive WQEs in strict message order at the
+/// window's binding floor. QPs without retransmission keep no window:
+/// fragments land in arrival order and a send binds its WQE at fragment
+/// 0. Payload install, CQE and ACK happen at DMA completion. On the
+/// requester, read responses pass the same rule on the pending read's own
+/// fragment set ([`Frags`]).
 ///
 /// Carries out the window's verdict on an arriving request fragment:
 /// emits its gap notice and, for a send with no receive WQE yet, binds at
@@ -1530,8 +1419,15 @@ fn admit(
             completes: frag + 1 == nfrags,
         };
     };
-    if let Some((m, bits)) = d.sack {
-        sack(inner, hdr, m, bits);
+    if let Some((m, received)) = d.sack {
+        reply(
+            inner,
+            hdr,
+            PacketKind::Sack {
+                msg_id: m,
+                received,
+            },
+        );
     }
     if d.action == Action::Unbound {
         // This fragment classified its message: bind what the floor
@@ -1548,8 +1444,15 @@ fn admit(
             }
         }
         d = verdict().expect("verdict came from the window");
-        if let Some((m, bits)) = d.sack {
-            sack(inner, hdr, m, bits);
+        if let Some((m, received)) = d.sack {
+            reply(
+                inner,
+                hdr,
+                PacketKind::Sack {
+                    msg_id: m,
+                    received,
+                },
+            );
         }
     }
     d.action
@@ -1863,7 +1766,6 @@ fn handle_read_req(
     let qp2 = Rc::clone(qp_rc);
     inner.sim.spawn(async move {
         let mtu = inner2.spec.nic.mtu;
-        let header = inner2.spec.nic.header_bytes;
         let nfrags = inner2.spec.fragments(len) as u32;
         for frag in 0..nfrags {
             let offset = frag as usize * mtu;
@@ -1882,42 +1784,24 @@ fn handle_read_req(
                     None => break,
                 }
             }
-            {
-                let now = inner2.sim.now();
-                let mut qp = qp2.borrow_mut();
-                if let Some(d) = qp.dcqcn.as_mut() {
-                    d.charge(now, flen + header);
-                }
-            }
-            inner2.tx_window.acquire(1).await;
-            let payload = mr
-                .mem
-                .read(raddr + offset as u64, flen)
-                .expect("validated remote range");
-            let ready = inner2.dma.enqueue(DmaDir::FromHost, flen);
-            let inner3 = Rc::clone(&inner2);
-            let resp = Packet {
-                src_node: inner2.node,
-                dst_node: hdr.src_node,
-                src_qpn: hdr.dst_qpn,
-                dst_qpn: hdr.src_qpn,
-                ecn: false,
-                kind: PacketKind::ReadResp {
-                    msg_id,
-                    frag,
-                    nfrags,
-                    offset,
-                    payload,
-                },
+            let kind = |payload| PacketKind::ReadResp {
+                msg_id,
+                frag,
+                nfrags,
+                offset,
+                payload,
             };
-            inner2.sim.schedule_at(ready, move |_| {
-                transmit(&inner3, resp);
-                inner3.tx_window.release(1);
-            });
-            inner2
-                .tx_pipeline
-                .use_for(inner2.pipe_cost(inner2.spec.nic.tx_pkt_ns))
-                .await;
+            let at = (&mr.mem, raddr + offset as u64, flen);
+            launch_frag(
+                &inner2,
+                &qp2,
+                (hdr.dst_qpn, hdr.back()),
+                None,
+                at,
+                kind,
+                |_| {},
+            )
+            .await;
         }
     });
 }
@@ -1932,99 +1816,69 @@ fn handle_read_resp(
     offset: usize,
     payload: PayloadSeg,
 ) {
-    let (pr, last) = {
+    // The receive window's rule on the read's own fragment set: without
+    // retransmission fragments land in arrival order; otherwise go-back-N
+    // takes only the next one in sequence (the retransmit timer re-issues
+    // the request after a loss) and selective repeat any fragment not yet
+    // held, so duplicates from a re-served response drop.
+    let (dst, lkey, last) = {
         let mut qp = qp_rc.borrow_mut();
-        let mode = qp.retx.as_ref().map(|rx| rx.cfg.mode);
-        match qp.pending_reads.get_mut(&msg_id) {
-            Some(pr) => {
-                let last = match mode {
-                    None => frag + 1 == nfrags,
-                    Some(RetxMode::Sr) if nfrags <= 64 => {
-                        // Out-of-order bitmap: duplicates drop, holes fill
-                        // from the re-served stream, completion fires when
-                        // the bitmap is full.
-                        if pr.got >> frag & 1 == 1 {
-                            return;
-                        }
-                        pr.got |= 1 << frag;
-                        pr.got.count_ones() == nfrags
-                    }
-                    _ => {
-                        // Go-back-N (and >64-fragment reads under
-                        // selective repeat): in-order gate — drop replay
-                        // duplicates and post-loss tails; the retransmit
-                        // timer re-issues the request.
-                        if frag != pr.next_frag {
-                            return;
-                        }
-                        pr.next_frag += 1;
-                        frag + 1 == nfrags
-                    }
-                };
-                (pr.clone(), last)
-            }
-            None => return,
-        }
-    };
-    let mr = match inner
-        .mrs
-        .check_local(pr.lkey, pr.addr + offset as u64, payload.len(), true)
-    {
-        Ok(mr) => mr,
-        Err(_) => {
-            // Landing buffer vanished mid-read: error completion.
-            let mut qp = qp_rc.borrow_mut();
-            qp.pending_reads.remove(&msg_id);
-            qp.outstanding_reads -= 1;
-            let cqe = Cqe::new(
-                pr.wr_id,
-                CqeStatus::LocalProtErr,
-                CqeOpcode::RdmaRead,
-                0,
-                qp.num,
-            );
-            qp.send_cq.push(cqe);
+        let rule = qp.retx.as_ref().map(|rx| rx.cfg.mode);
+        let Some(pr) = qp.pending_reads.get_mut(&msg_id) else {
             return;
-        }
+        };
+        let last = match rule {
+            None => frag + 1 == nfrags,
+            Some(rule) if pr.frags.accept(rule, frag) => pr.frags.count() == nfrags,
+            Some(_) => return,
+        };
+        (pr.addr + offset as u64, pr.lkey, last)
+    };
+    let Ok(mr) = inner.mrs.check_local(lkey, dst, payload.len(), true) else {
+        // Landing buffer vanished mid-read.
+        fail_wr(
+            inner,
+            &mut qp_rc.borrow_mut(),
+            msg_id,
+            None,
+            CqeStatus::LocalProtErr,
+        );
+        return;
     };
     let dma_done = inner.dma.enqueue(DmaDir::ToHost, payload.len());
     let inner2 = Rc::clone(inner);
     let qp2 = Rc::clone(qp_rc);
-    let dst = pr.addr + offset as u64;
     inner.sim.schedule_at(dma_done, move |_| {
         mr.mem
             .install(dst, &payload)
             .expect("validated landing zone");
-        if last {
-            let qpn = {
-                let mut qp = qp2.borrow_mut();
-                qp.pending_reads.remove(&msg_id);
-                qp.outstanding_reads -= 1;
-                if qp.retx.as_mut().is_some_and(|rx| rx.ack(msg_id)) {
-                    arm_retx_timer(&inner2, &mut qp);
-                }
-                qp.tx_msgs += 1;
-                qp.tx_bytes += pr.len as u64;
-                if pr.signaled {
-                    let cqe = Cqe::new(
-                        pr.wr_id,
-                        CqeStatus::Success,
-                        CqeOpcode::RdmaRead,
-                        pr.len,
-                        qp.num,
-                    );
-                    deliver_cqe(&inner2, &qp.send_cq.clone(), cqe);
-                }
-                if qp.stalled_rd {
-                    qp.stalled_rd = false;
-                    Some(qp.num)
-                } else {
-                    None
-                }
-            };
-            if let Some(qpn) = qpn {
-                ring_qp(&inner2, qpn);
-            }
+        if !last {
+            return;
+        }
+        let mut qp = qp2.borrow_mut();
+        let Some(pr) = qp.pending_reads.remove(&msg_id) else {
+            return;
+        };
+        qp.outstanding_reads -= 1;
+        if qp.retx.as_mut().is_some_and(|rx| rx.ack(msg_id)) {
+            arm_retx_timer(&inner2, &mut qp);
+        }
+        qp.tx_msgs += 1;
+        qp.tx_bytes += pr.len as u64;
+        if pr.signaled {
+            let cqe = Cqe::new(
+                pr.wr_id,
+                CqeStatus::Success,
+                CqeOpcode::RdmaRead,
+                pr.len,
+                qp.num,
+            );
+            deliver_cqe(&inner2, &qp.send_cq.clone(), cqe);
+        }
+        if std::mem::take(&mut qp.stalled_rd) {
+            let qpn = qp.num;
+            drop(qp);
+            ring_qp(&inner2, qpn);
         }
     });
 }
@@ -2077,27 +1931,9 @@ fn handle_nak(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>, msg_id: u64, reason
     if reason == NakReason::Rnr && rnr_defer(inner, qp_rc, msg_id) {
         return;
     }
-    let mut qp = qp_rc.borrow_mut();
     let status = match reason {
         NakReason::Rnr => CqeStatus::RnrRetryExceeded,
         NakReason::RemoteAccess | NakReason::LengthError => CqeStatus::RemoteAccessErr,
     };
-    let qpn = qp.num;
-    let mut terminal = false;
-    if let Some(pa) = qp.pending_acks.remove(&msg_id) {
-        terminal = true;
-        qp.send_cq
-            .push(Cqe::new(pa.wr_id, status, pa.opcode.into(), 0, qpn));
-    } else if let Some(pr) = qp.pending_reads.remove(&msg_id) {
-        terminal = true;
-        qp.outstanding_reads -= 1;
-        qp.send_cq
-            .push(Cqe::new(pr.wr_id, status, CqeOpcode::RdmaRead, 0, qpn));
-    }
-    // If the NAKed WQE just got its terminal CQE, a mid-segmentation
-    // replay of it must not produce a second (flush) completion.
-    if terminal && qp.tx.as_ref().is_some_and(|tx| tx.msg_id == msg_id) {
-        qp.tx = None;
-    }
-    flush_qp(inner, &mut qp);
+    fail_wr(inner, &mut qp_rc.borrow_mut(), msg_id, None, status);
 }

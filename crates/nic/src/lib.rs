@@ -5,7 +5,10 @@
 //! * memory regions with lkey/rkey protection ([`mr`]),
 //! * RC and UD queue pairs with the IB state machine ([`qp`]),
 //! * two-sided send/recv and one-sided RDMA read/write with MTU
-//!   segmentation, DMA pipelining, per-message coalesced ACKs ([`engine`]),
+//!   segmentation, DMA pipelining, per-message coalesced ACKs ([`engine`]);
+//!   the requester keeps one start for fresh and replayed WQEs, one
+//!   launcher for every data fragment, and one exit for every work request
+//!   that ends in error,
 //! * RC retransmission with one receive window ([`RxWindow`]) whose
 //!   acceptance rule is the QP's [`RetxMode`]: go-back-N accepts only the
 //!   next fragment in sequence, selective repeat installs fragments out of

@@ -30,16 +30,53 @@ pub struct PendingRead {
     pub addr: u64,
     pub len: usize,
     pub lkey: crate::types::LKey,
-    /// Next response fragment expected, when go-back-N retransmission is
-    /// armed: replay duplicates (`<`) and post-loss tails (`>`) are
-    /// discarded, so completion fires only after a gap-free pass (the
-    /// retransmit timer re-issues the request after a loss).
-    pub next_frag: u32,
-    /// Selective repeat: bitmap of response fragments already landed —
-    /// out-of-order responses install directly and the read completes
-    /// when the bitmap fills (reads over 64 fragments fall back to the
-    /// in-order gate above).
-    pub got: u64,
+    /// Response fragments landed so far, gated by the QP's acceptance
+    /// rule when retransmission is armed.
+    pub frags: Frags,
+}
+
+/// The fragments of one message held so far: a bitmap, 64 fragments per
+/// word, and its population count. The receive window keeps one per
+/// in-progress message, the requester one per pending read.
+#[derive(Debug, Clone)]
+pub struct Frags {
+    bits: Vec<u64>,
+    count: u32,
+}
+
+impl Frags {
+    /// An empty set for a message of `nfrags` fragments.
+    pub fn new(nfrags: u32) -> Frags {
+        Frags {
+            bits: vec![0; (nfrags as usize).div_ceil(64)],
+            count: 0,
+        }
+    }
+
+    /// Whether `frag` is held.
+    pub fn has(&self, frag: u32) -> bool {
+        self.bits[frag as usize / 64] >> (frag % 64) & 1 == 1
+    }
+
+    /// Fragments held.
+    pub fn count(&self) -> u32 {
+        self.count
+    }
+
+    /// Take `frag` if `rule` accepts it: the in-order rule accepts only
+    /// the next fragment in sequence, selective repeat any fragment not
+    /// yet held.
+    pub fn accept(&mut self, rule: RetxMode, frag: u32) -> bool {
+        let ok = match rule {
+            RetxMode::Gbn => frag == self.count,
+            RetxMode::Sr => !self.has(frag),
+        };
+        if ok {
+            self.bits[frag as usize / 64] |= 1 << (frag % 64);
+            self.count += 1;
+        }
+        ok
+    }
 }
 
 /// Loss-recovery discipline for an RC QP with retransmission armed — on
@@ -185,9 +222,7 @@ struct MsgState {
     kind: Kind,
     nfrags: u32,
     total_len: usize,
-    /// Received-fragment bitmap, 64 fragments per word.
-    received: Vec<u64>,
-    count: u32,
+    frags: Frags,
     /// Sends: whether a receive WQE has been bound (writes/reads: true).
     bound: bool,
     /// Message rejected (length / protection error): nothing installs.
@@ -200,15 +235,10 @@ impl MsgState {
             kind,
             nfrags,
             total_len: 0,
-            received: vec![0; (nfrags as usize).div_ceil(64)],
-            count: 0,
+            frags: Frags::new(nfrags),
             bound: !matches!(kind, Kind::Send),
             poisoned: false,
         }
-    }
-
-    fn has(&self, frag: u32) -> bool {
-        self.received[frag as usize / 64] >> (frag % 64) & 1 == 1
     }
 }
 
@@ -277,7 +307,9 @@ impl RxWindow {
     /// to pre-check receiver resources before committing the fragment).
     pub fn completes_with(&self, msg_id: u64, frag: u32, nfrags: u32) -> bool {
         match self.msgs.get(&msg_id) {
-            Some(m) => m.bound && !m.poisoned && m.count + 1 == m.nfrags && !m.has(frag),
+            Some(m) => {
+                m.bound && !m.poisoned && m.frags.count + 1 == m.nfrags && !m.frags.has(frag)
+            }
             None => nfrags == 1 && self.opens(msg_id, frag),
         }
     }
@@ -292,7 +324,7 @@ impl RxWindow {
         let Some(m) = self.msgs.get(&msg_id) else {
             return 0;
         };
-        (0..m.nfrags).find(|&f| !m.has(f)).unwrap_or(m.nfrags)
+        (0..m.nfrags).find(|&f| !m.frags.has(f)).unwrap_or(m.nfrags)
     }
 
     /// The gap notice for this episode, unless it was already sent.
@@ -304,7 +336,7 @@ impl RxWindow {
         let held = self
             .msgs
             .get(&self.expected_msg)
-            .map_or(0, |m| m.received[0]);
+            .map_or(0, |m| m.frags.bits[0]);
         Some((self.expected_msg, held))
     }
 
@@ -326,7 +358,8 @@ impl RxWindow {
         }
         let in_order = self.rule == RetxMode::Gbn;
         if in_order
-            && (msg_id > self.expected_msg || frag > self.msgs.get(&msg_id).map_or(0, |m| m.count))
+            && (msg_id > self.expected_msg
+                || frag > self.msgs.get(&msg_id).map_or(0, |m| m.frags.count))
         {
             return self.rewind();
         }
@@ -341,12 +374,10 @@ impl RxWindow {
             Action::Discard { reack: false }
         } else if !e.bound && !e.poisoned {
             Action::Unbound
-        } else if e.has(frag) {
+        } else if !e.frags.accept(self.rule, frag) {
             Action::Discard { reack: false }
         } else {
-            e.received[frag as usize / 64] |= 1 << (frag % 64);
-            e.count += 1;
-            let (completes, poisoned) = (e.count == e.nfrags, e.poisoned);
+            let (completes, poisoned) = (e.frags.count == e.nfrags, e.poisoned);
             if completes {
                 self.deliver(msg_id);
             }
@@ -551,6 +582,18 @@ impl RetxState {
         }
         self.replayed += n;
         n
+    }
+
+    /// Pop the next queued replay: its message id, the window's WQE
+    /// snapshot, the fragments the receiver SACKed as held (this pass
+    /// skips them; a later round re-learns the grown bitmap from the next
+    /// SACK), and whether the queue is now drained. `None` once ACKs have
+    /// emptied the queue — [`RetxState::ack`] unqueues what it removes.
+    pub fn next_replay(&mut self) -> Option<(u64, SendWqe, u64, bool)> {
+        let msg_id = self.rtx.pop_front()?;
+        let wqe = self.window.iter().find(|e| e.msg_id == msg_id)?.wqe.clone();
+        let skip = self.rtx_mask.remove(&msg_id).unwrap_or(0);
+        Some((msg_id, wqe, skip, self.rtx.is_empty()))
     }
 
     /// Drop `msg_id` from the window (and any queued replay of it) after
@@ -794,6 +837,21 @@ impl Qp {
         let id = self.next_msg_id;
         self.next_msg_id += 1;
         id
+    }
+
+    /// Pop the SQ head as a fresh message: allocate its id and, with
+    /// retransmission armed, open its window entry.
+    pub fn next_fresh(&mut self) -> Option<(u64, SendWqe)> {
+        let wqe = self.sq.pop_front()?;
+        let msg_id = self.alloc_msg_id();
+        if let Some(rx) = self.retx.as_mut() {
+            rx.window.push_back(RetxEntry {
+                msg_id,
+                wqe: wqe.clone(),
+                sent: false,
+            });
+        }
+        Some((msg_id, wqe))
     }
 
     /// The receive window, if retransmission is armed.
@@ -1135,6 +1193,25 @@ mod tests {
         // Replay ordering is message order, regardless of ACK history.
         assert_eq!(rx.queue_replay(), 2);
         assert_eq!(rx.rtx, [1, 3]);
+    }
+
+    #[test]
+    fn frags_accept_by_rule() {
+        // The in-order rule takes only the next fragment in sequence.
+        let mut gbn = Frags::new(130);
+        assert!(gbn.accept(RetxMode::Gbn, 0));
+        assert!(!gbn.accept(RetxMode::Gbn, 2), "a gap is refused");
+        assert!(!gbn.accept(RetxMode::Gbn, 0), "a duplicate is refused");
+        assert!(gbn.accept(RetxMode::Gbn, 1));
+        assert_eq!(gbn.count, 2);
+        // Selective repeat takes any fragment not yet held, past the
+        // first 64 too.
+        let mut sr = Frags::new(130);
+        assert!(sr.accept(RetxMode::Sr, 129));
+        assert!(sr.accept(RetxMode::Sr, 0));
+        assert!(!sr.accept(RetxMode::Sr, 129), "a duplicate is refused");
+        assert!(sr.has(129) && sr.has(0) && !sr.has(64));
+        assert_eq!(sr.count, 2);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! RC retransmission on a lossy fabric: go-back-N recovery, replay
-//! ordering, duplicate suppression, retry exhaustion, RNR backoff and
-//! rejected messages under both acceptance rules, and the differential
-//! between go-back-N and selective repeat under an identical
+//! ordering, duplicate suppression, retry exhaustion, RNR backoff,
+//! rejected messages, lossy RDMA reads and work requests whose memory
+//! region vanishes mid-flight under both acceptance rules, and the
+//! differential between go-back-N and selective repeat under an identical
 //! deterministic loss schedule.
 //!
 //! The fabric is a two-node dumbbell with a slow bottleneck and a buffer
@@ -85,8 +86,9 @@ fn go_back_n_recovers_a_lossy_burst_in_order() {
     // from a 100 Gb/s host overwhelms it and tail-drops. The buffer holds
     // at least one whole message (~16.6 KB on the wire) — the progress
     // condition for message-granularity go-back-N: each replay round must
-    // be able to land the oldest message in full, or recovery livelocks
-    // into retry exhaustion.
+    // be able to land the oldest message in full. Otherwise recovery
+    // livelocks: every round's gap notice re-arms the loss timer without
+    // consuming a retry, so the QP neither completes nor exhausts.
     let (a, b) = lossy_rc_pair(&sim, 10.0, 25_000);
     const MSGS: usize = 12;
     const LEN: usize = 16 * 1024; // 4 fragments at the 4096 B MTU
@@ -733,4 +735,195 @@ fn arming_retx_after_traffic_is_rejected() {
         .is_err());
     // Disarming remains fine.
     a.nic.set_rc_retx(a.qpn, None).unwrap();
+}
+
+#[test]
+fn a_read_whose_landing_mr_vanishes_completes_once() {
+    // Without retransmission and under both rules, the landing buffer's
+    // deregistration mid-response ends the read with one LocalProtErr and
+    // flushes the QP — which also cancels the retransmit timer, so no
+    // retry ever fires for the failed WR.
+    const TIMEOUT: SimDuration = SimDuration::from_us(50);
+    for mode in [None, Some(RetxMode::Gbn), Some(RetxMode::Sr)] {
+        let sim = Sim::new();
+        let (a, b) = lossy_rc_pair(&sim, 100.0, 16 << 20);
+        let cfg = mode.map(|mode| RetxConfig {
+            mode,
+            timeout: TIMEOUT,
+            max_retries: 3,
+            ..RetxConfig::default()
+        });
+        a.nic.set_rc_retx(a.qpn, cfg).unwrap();
+        b.nic.set_rc_retx(b.qpn, cfg).unwrap();
+        const LEN: usize = 256 * 1024;
+        let src = b.mem.alloc_from(&pattern(0, LEN));
+        let mrb = b.nic.mr_table().register(b.mem.clone(), src, Access::all());
+        let dst = a.mem.alloc(LEN, 0);
+        let lkey = a
+            .nic
+            .mr_table()
+            .register(a.mem.clone(), dst, Access::all())
+            .lkey;
+        let sge = Sge {
+            addr: dst.addr,
+            len: LEN,
+            lkey,
+        };
+        a.nic
+            .post_send(
+                a.qpn,
+                SendWqe::read(WrId(1), sge, src.addr, mrb.rkey),
+                false,
+            )
+            .unwrap();
+        // 8 µs in, the response is still streaming.
+        let nic = a.nic.clone();
+        sim.schedule_at(SimTime::ZERO + SimDuration::from_us(8), move |_| {
+            assert!(nic.mr_table().deregister(lkey));
+        });
+        sim.run();
+        let statuses: Vec<_> = std::iter::from_fn(|| a.send_cq.poll_one())
+            .map(|c| (c.wr_id, c.status))
+            .collect();
+        assert_eq!(statuses, [(WrId(1), CqeStatus::LocalProtErr)], "{mode:?}");
+        assert_eq!(a.nic.qp_state(a.qpn).unwrap(), QpState::Error, "{mode:?}");
+        assert_eq!(a.nic.network().total_drops(), 0, "{mode:?}: loss-free");
+        assert!(
+            sim.now() < SimTime::ZERO + TIMEOUT,
+            "{mode:?}: sim ran to {} — a retransmit timer outlived the failed read",
+            sim.now()
+        );
+    }
+}
+
+#[test]
+fn a_replayed_write_whose_source_mr_vanishes_fails_once_and_flushes() {
+    for mode in MODES {
+        let sim = Sim::new();
+        let (a, b) = lossy_rc_pair(&sim, 10.0, 25_000);
+        arm(
+            &a,
+            &b,
+            RetxConfig {
+                mode,
+                ..RetxConfig::default()
+            },
+        );
+        const MSGS: usize = 6;
+        const LEN: usize = 16 * 1024;
+        let mut lkeys = Vec::new();
+        for i in 0..MSGS {
+            let src = a.mem.alloc_from(&pattern(i, LEN));
+            let dst = b.mem.alloc(LEN, 0);
+            let mra = a.nic.mr_table().register(a.mem.clone(), src, Access::all());
+            let mrb = b.nic.mr_table().register(b.mem.clone(), dst, Access::all());
+            let sge = Sge {
+                addr: src.addr,
+                len: LEN,
+                lkey: mra.lkey,
+            };
+            a.nic
+                .post_send(
+                    a.qpn,
+                    SendWqe::write(WrId(i as u64), sge, dst.addr, mrb.rkey),
+                    false,
+                )
+                .unwrap();
+            lkeys.push(mra.lkey);
+        }
+        // Drop WR 4's source region once its first pass is on the wire
+        // (five first passes counted), so only a replay can find it gone.
+        let (nic, qpn, lkey, s) = (a.nic.clone(), a.qpn, lkeys[4], sim.clone());
+        sim.spawn(async move {
+            while nic.qp_counters(qpn).unwrap().0 < 5 {
+                s.sleep(SimDuration::from_ns(100)).await;
+            }
+            assert!(nic.mr_table().deregister(lkey));
+        });
+        sim.run();
+        let statuses: Vec<_> = std::iter::from_fn(|| a.send_cq.poll_one())
+            .map(|c| (c.wr_id.0, c.status))
+            .collect();
+        assert_eq!(
+            statuses,
+            [
+                (0, CqeStatus::Success),
+                (4, CqeStatus::LocalProtErr),
+                (1, CqeStatus::WrFlushErr),
+                (2, CqeStatus::WrFlushErr),
+                (3, CqeStatus::WrFlushErr),
+                (5, CqeStatus::WrFlushErr),
+            ],
+            "{mode}"
+        );
+        assert_eq!(a.nic.qp_state(a.qpn).unwrap(), QpState::Error, "{mode}");
+        let (replays, exhausted) = a.nic.retx_stats();
+        assert!(replays > 0, "{mode}: WR 4 failed on a replay");
+        assert_eq!(exhausted, 0, "{mode}");
+    }
+}
+
+/// Twelve 16 KiB reads pulled across the lossy dumbbell under `mode`: the
+/// responses cross the bottleneck and tail-drop, so the requester replays
+/// pending reads and the responder re-serves them. Every read must
+/// complete exactly once with exact bytes. Returns the replay and drop
+/// counts.
+fn lossy_reads(mode: RetxMode) -> (u64, u64) {
+    let sim = Sim::new();
+    let (a, b) = lossy_rc_pair(&sim, 10.0, 25_000);
+    arm(
+        &a,
+        &b,
+        RetxConfig {
+            mode,
+            ..RetxConfig::default()
+        },
+    );
+    const MSGS: usize = 12;
+    const LEN: usize = 16 * 1024;
+    let mut dsts = Vec::new();
+    for i in 0..MSGS {
+        let src = b.mem.alloc_from(&pattern(i, LEN));
+        let mrb = b.nic.mr_table().register(b.mem.clone(), src, Access::all());
+        let dst = a.mem.alloc(LEN, 0);
+        let mra = a.nic.mr_table().register(a.mem.clone(), dst, Access::all());
+        let sge = Sge {
+            addr: dst.addr,
+            len: LEN,
+            lkey: mra.lkey,
+        };
+        a.nic
+            .post_send(
+                a.qpn,
+                SendWqe::read(WrId(i as u64), sge, src.addr, mrb.rkey),
+                false,
+            )
+            .unwrap();
+        dsts.push(dst);
+    }
+    sim.run();
+    let mut done: Vec<u64> = std::iter::from_fn(|| a.send_cq.poll_one())
+        .map(|c| {
+            assert_eq!(c.status, CqeStatus::Success, "{mode}");
+            assert_eq!(c.byte_len, LEN, "{mode}");
+            c.wr_id.0
+        })
+        .collect();
+    done.sort_unstable();
+    assert_eq!(done, (0..MSGS as u64).collect::<Vec<_>>(), "{mode}");
+    for (i, dst) in dsts.iter().enumerate() {
+        let got = a.mem.read(dst.addr, LEN).unwrap();
+        assert_eq!(&got[..], &pattern(i, LEN)[..], "{mode}: read {i} corrupted");
+    }
+    assert_eq!(a.nic.qp_state(a.qpn).unwrap(), QpState::Rts, "{mode}");
+    (a.nic.retx_stats().0, a.nic.network().total_drops())
+}
+
+#[test]
+fn lossy_reads_complete_once_with_exact_bytes_under_both_rules() {
+    for mode in MODES {
+        let (replays, drops) = lossy_reads(mode);
+        assert!(drops > 0, "{mode}: responses must tail-drop");
+        assert!(replays > 0, "{mode}: the requester must replay");
+    }
 }

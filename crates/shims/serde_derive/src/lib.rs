@@ -2,11 +2,17 @@
 //!
 //! Hand-rolled token parsing (no `syn`/`quote` available offline). Supports
 //! the two shapes the workspace uses: structs with named fields and enums
-//! with unit variants. Generics are not supported.
+//! with unit variants. Generics are not supported. Struct fields accept two
+//! of serde's field attributes:
+//!
+//! * `#[serde(skip_serializing_if = "path")]` omits the field when
+//!   `path(&field)` is true;
+//! * `#[serde(flatten)]` splices the field's object entries into the
+//!   enclosing object (a `None` option contributes nothing).
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let (kind, name, body) = parse_item(input);
     let code = match kind.as_str() {
@@ -58,16 +64,27 @@ fn parse_item(input: TokenStream) -> (String, String, TokenStream) {
     panic!("derive(Serialize): no struct or enum found");
 }
 
-/// Extract named field identifiers from a struct body, skipping attributes,
-/// visibility, and type tokens (tracking `<`/`>` depth so commas inside
-/// generic arguments don't split fields).
-fn struct_fields(body: TokenStream) -> Vec<String> {
+/// A named struct field and its `#[serde(...)]` options.
+struct Field {
+    name: String,
+    skip_if: Option<String>,
+    flatten: bool,
+}
+
+/// Extract named fields from a struct body, reading `#[serde(...)]`
+/// attributes and skipping other attributes, visibility, and type tokens
+/// (tracking `<`/`>` depth so commas inside generic arguments don't split
+/// fields).
+fn struct_fields(body: TokenStream) -> Vec<Field> {
     let mut fields = Vec::new();
+    let (mut skip_if, mut flatten) = (None, false);
     let mut iter = body.into_iter().peekable();
     'outer: while let Some(tt) = iter.next() {
         match tt {
             TokenTree::Punct(p) if p.as_char() == '#' => {
-                let _ = iter.next();
+                if let Some(TokenTree::Group(g)) = iter.next() {
+                    serde_attr(g.stream(), &mut skip_if, &mut flatten);
+                }
             }
             TokenTree::Ident(id) if id.to_string() == "pub" => {
                 // Skip a following `(crate)`-style restriction, if any.
@@ -78,7 +95,11 @@ fn struct_fields(body: TokenStream) -> Vec<String> {
                 }
             }
             TokenTree::Ident(id) => {
-                fields.push(id.to_string());
+                fields.push(Field {
+                    name: id.to_string(),
+                    skip_if: skip_if.take(),
+                    flatten: std::mem::take(&mut flatten),
+                });
                 // Consume `: Type` up to the next top-level comma.
                 let mut angle = 0i32;
                 for tt2 in iter.by_ref() {
@@ -99,21 +120,61 @@ fn struct_fields(body: TokenStream) -> Vec<String> {
     fields
 }
 
+/// Read the options of one field attribute (the tokens inside `#[...]`);
+/// anything but `serde(...)` (doc comments, lints) is ignored.
+fn serde_attr(attr: TokenStream, skip_if: &mut Option<String>, flatten: &mut bool) {
+    let mut iter = attr.into_iter();
+    let (Some(TokenTree::Ident(id)), Some(TokenTree::Group(args))) = (iter.next(), iter.next())
+    else {
+        return;
+    };
+    if id.to_string() != "serde" {
+        return;
+    }
+    let mut args = args.stream().into_iter();
+    while let Some(tt) = args.next() {
+        match tt.to_string().as_str() {
+            "flatten" => *flatten = true,
+            "skip_serializing_if" => {
+                // `= "path"`: skip the `=`, unquote the literal.
+                let lit = args.nth(1).map(|lit| lit.to_string()).unwrap_or_default();
+                let path = lit.strip_prefix('"').and_then(|p| p.strip_suffix('"'));
+                *skip_if = Some(path.expect("skip_serializing_if = \"path\"").to_string());
+            }
+            "," => {}
+            other => panic!("derive(Serialize): unsupported serde attribute {other}"),
+        }
+    }
+}
+
 fn derive_struct(name: &str, body: TokenStream) -> String {
     let fields = struct_fields(body);
-    let entries: Vec<String> = fields
+    let pushes: Vec<String> = fields
         .iter()
-        .map(|f| {
-            format!("(::std::string::String::from(\"{f}\"), serde::Serialize::to_value(&self.{f}))")
+        .map(|field| {
+            let f = &field.name;
+            let value = format!("serde::Serialize::to_value(&self.{f})");
+            let push = if field.flatten {
+                format!("if let serde::Value::Object(inner) = {value} {{ fields.extend(inner); }}")
+            } else {
+                format!("fields.push((::std::string::String::from(\"{f}\"), {value}));")
+            };
+            match &field.skip_if {
+                Some(path) => format!("if !{path}(&self.{f}) {{ {push} }}"),
+                None => push,
+            }
         })
         .collect();
     format!(
         "impl serde::Serialize for {name} {{\n\
          \tfn to_value(&self) -> serde::Value {{\n\
-         \t\tserde::Value::Object(vec![{}])\n\
+         \t\tlet mut fields = ::std::vec::Vec::with_capacity({});\n\
+         \t\t{}\n\
+         \t\tserde::Value::Object(fields)\n\
          \t}}\n\
          }}",
-        entries.join(", ")
+        fields.len(),
+        pushes.join("\n\t\t")
     )
 }
 

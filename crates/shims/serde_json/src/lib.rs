@@ -157,4 +157,46 @@ mod tests {
     fn strings_escape() {
         assert_eq!(to_string(&"a\"b\n").unwrap(), r#""a\"b\n""#);
     }
+
+    #[test]
+    fn derived_fields_skip_and_flatten() {
+        use serde::Serialize;
+        #[derive(Serialize)]
+        struct Inner {
+            x: u8,
+            #[serde(skip_serializing_if = "Option::is_none")]
+            y: Option<u8>,
+        }
+        #[derive(Serialize)]
+        struct Outer {
+            a: u8,
+            #[serde(flatten)]
+            inner: Option<Inner>,
+            #[serde(skip_serializing_if = "Vec::is_empty")]
+            v: Vec<u8>,
+            b: u8,
+        }
+        let full = Outer {
+            a: 1,
+            inner: Some(Inner { x: 2, y: Some(3) }),
+            v: vec![4],
+            b: 5,
+        };
+        assert_eq!(
+            to_string(&full).unwrap(),
+            r#"{"a":1,"x":2,"y":3,"v":[4],"b":5}"#
+        );
+        let bare = Outer {
+            a: 1,
+            inner: None,
+            v: Vec::new(),
+            b: 5,
+        };
+        assert_eq!(to_string(&bare).unwrap(), r#"{"a":1,"b":5}"#);
+        let partial = Outer {
+            inner: Some(Inner { x: 2, y: None }),
+            ..bare
+        };
+        assert_eq!(to_string(&partial).unwrap(), r#"{"a":1,"x":2,"b":5}"#);
+    }
 }

@@ -8,8 +8,8 @@ use cord_chaos::ChaosPlane;
 use cord_core::Fabric;
 use cord_kern::{QosPolicy, QuotaPolicy, RateLimitPolicy};
 use cord_mpi::{create_world, MpiTransport};
-use cord_net::{NetConfig, Topology};
-use cord_nic::{CcAlgorithm, RetxConfig, Transport};
+use cord_net::{NetConfig, Routing, Topology};
+use cord_nic::{CcAlgorithm, RetxConfig, RetxMode, Transport};
 use cord_sim::{SimDuration, TraceEvent};
 
 use crate::collective::{drive_rank, CollectiveReport, JobTiming};
@@ -372,8 +372,8 @@ pub fn run_scenario_full(spec: &ScenarioSpec, opts: RunOptions) -> Result<RunOut
         FabricCounters {
             pfc: network.pfc_enabled(),
             rc_retx: spec.rc_retx,
-            routing: spec.routing,
-            retx_mode: spec.retx_mode,
+            routing: (spec.routing != Routing::Ecmp).then(|| spec.routing.to_string()),
+            retx_mode: (spec.retx_mode != RetxMode::Gbn).then(|| spec.retx_mode.to_string()),
             buffer_bytes: spec.buffer_bytes.map(|b| b as u64),
             net_drops: network.total_drops(),
             net_pauses: network.total_pauses(),
