@@ -4,6 +4,10 @@
 //! Paper shape: CoRD ≈ 1.0 everywhere (EP and CG slightly below 1 — the
 //! DVFS/turbo interaction); IPoIB up to 2× slower, worst on the
 //! simultaneously data- and message-intensive IS and SP.
+//!
+//! The harness holds that shape as a gate: after writing `fig6.json` it
+//! exits 1 unless CoRD ÷ bypass lies in [`CORD_BAND`] on every kernel and
+//! IPoIB ÷ bypass reaches [`IPOIB_FLOOR`] on IS and SP.
 
 use cord_bench::{par_map, print_table, save_json};
 use cord_hw::system_a;
@@ -11,6 +15,11 @@ use cord_mpi::MpiTransport;
 use cord_npb::{run_benchmark, Bench, Class};
 use cord_verbs::Dataplane;
 use serde::Serialize;
+
+/// CoRD ÷ bypass must lie in this band on every kernel.
+const CORD_BAND: (f64, f64) = (0.95, 1.10);
+/// IPoIB ÷ bypass must reach this on the paper's worst kernels, IS and SP.
+const IPOIB_FLOOR: f64 = 1.7;
 
 #[derive(Serialize)]
 struct Fig6Row {
@@ -81,4 +90,30 @@ fn main() {
         "\npaper shape: CoRD ≈ 1.0 (EP/CG slightly <1 via DVFS); IPoIB up to 2× (worst: IS, SP)"
     );
     save_json("fig6", &results);
+
+    let mut broken = Vec::new();
+    for (bench, r) in Bench::ALL.iter().zip(&results) {
+        if !(CORD_BAND.0..=CORD_BAND.1).contains(&r.cord_rel) {
+            broken.push(format!(
+                "{}: CoRD/bypass {:.3} outside [{}, {}]",
+                r.bench, r.cord_rel, CORD_BAND.0, CORD_BAND.1
+            ));
+        }
+        if matches!(bench, Bench::Is | Bench::Sp) && r.ipoib_rel < IPOIB_FLOOR {
+            broken.push(format!(
+                "{}: IPoIB/bypass {:.3} below {IPOIB_FLOOR}",
+                r.bench, r.ipoib_rel
+            ));
+        }
+    }
+    if !broken.is_empty() {
+        for b in &broken {
+            eprintln!("fig6: paper shape broken: {b}");
+        }
+        std::process::exit(1);
+    }
+    println!(
+        "paper shape holds: CoRD/bypass in [{}, {}] on all kernels, IPoIB/bypass ≥ {IPOIB_FLOOR} on IS and SP",
+        CORD_BAND.0, CORD_BAND.1
+    );
 }

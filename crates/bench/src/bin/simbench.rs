@@ -47,7 +47,8 @@
 //! digest: `results/simbench_attr.txt` attributes every bench's polls
 //! and timer fires to the subsystem that caused them (NIC engines,
 //! switch ports, CPU billing, other — the executor's [`Subsystem`]
-//! tags), and `--trace` arms the packet-lifecycle ring during each bench
+//! tags) and counts the bench's guest-memory copy-on-write copies and
+//! bytes, and `--trace` arms the packet-lifecycle ring during each bench
 //! and exports `results/simbench[_quick]_trace_<bench>.json` in Chrome
 //! trace_event form. Tracing observes without perturbing: the digest is
 //! byte-identical with and without `--trace`.
@@ -59,6 +60,7 @@ use std::time::Instant;
 
 use cord_bench::perfetto::write_chrome_trace;
 use cord_bench::{append_jsonl, print_table, save_json};
+use cord_hw::thread_cow_stats;
 use cord_nic::CcAlgorithm;
 use cord_sim::Subsystem;
 use cord_workload::scenarios::{self, Scale};
@@ -190,9 +192,11 @@ fn run_bench(b: &Bench, quick: bool, label: &str, trace: bool) -> BenchRun {
     let opts = RunOptions {
         trace_capacity: trace.then_some(TRACE_CAPACITY),
     };
+    let cow0 = thread_cow_stats();
     let t0 = Instant::now();
     let out = run_scenario_full(&b.spec, opts).unwrap_or_else(|e| panic!("{}: {e}", b.name));
     let wall = t0.elapsed().as_secs_f64();
+    let cow = thread_cow_stats();
     let (report, core) = (out.report, out.core);
     let fabric = report.fabric;
     // Attribution: deterministic counts, but deliberately NOT part of the
@@ -218,6 +222,13 @@ fn run_bench(b: &Bench, quick: bool, label: &str, trace: bool) -> BenchRun {
         )
         .unwrap();
     }
+    write!(
+        attr,
+        " cow_copies={} cow_bytes={}",
+        cow.copies - cow0.copies,
+        cow.bytes - cow0.bytes
+    )
+    .unwrap();
     let r = SimbenchReport {
         label: label.to_string(),
         bench: b.name.to_string(),

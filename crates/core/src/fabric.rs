@@ -154,7 +154,20 @@ struct FabricInner {
     cores_allocated: RefCell<Vec<usize>>,
 }
 
+impl Drop for FabricInner {
+    fn drop(&mut self) {
+        self.sim.teardown();
+    }
+}
+
 /// A wired cluster. Cheap to clone (all clones share the cluster).
+///
+/// Dropping the last handle tears the simulation down ([`Sim::teardown`]):
+/// every task and pending timer is dropped, and with them everything the
+/// fabric built — NIC engines, kernels, IPoIB stacks, arenas. The last
+/// handle may drop anywhere, including inside one of the fabric's own
+/// tasks. A [`Sim`] clone kept past that point still works, but finds no
+/// tasks left.
 #[derive(Clone)]
 pub struct Fabric {
     inner: std::rc::Rc<FabricInner>,
@@ -283,6 +296,32 @@ mod tests {
             let (_, m) = b.recv(&c1).await;
             assert_eq!(&m[..], b"fabric");
         });
+    }
+
+    #[test]
+    fn dropping_the_fabric_drops_its_tasks() {
+        let fabric = Fabric::builder(system_l()).with_ipoib().build();
+        let sim = fabric.sim().clone();
+        assert!(sim.live_tasks() > 0, "NIC engines and IPoIB workers run");
+        drop(fabric);
+        assert_eq!(sim.live_tasks(), 0);
+    }
+
+    #[test]
+    fn the_last_handle_may_drop_inside_a_task() {
+        let fabric = Fabric::builder(system_l()).with_ipoib().build();
+        let sim = fabric.sim().clone();
+        let c0 = fabric.new_core(0);
+        let c1 = fabric.new_core(1);
+        sim.spawn(async move {
+            let a = fabric.ipoib(0).socket();
+            let b = fabric.ipoib(1).socket();
+            a.send_to(&c0, b.addr(), b"last").await.unwrap();
+            let (_, m) = b.recv(&c1).await;
+            assert_eq!(&m[..], b"last");
+        });
+        sim.run();
+        assert_eq!(sim.live_tasks(), 0);
     }
 
     #[test]

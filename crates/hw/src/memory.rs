@@ -25,14 +25,21 @@
 //! receive buffer) therefore never copies payload bytes at all: each
 //! install just replaces the previous patch for that range.
 //!
+//! A copy-on-write copy clones one chunk, so its cost is the size of one
+//! allocation. Buffer pools that recycle buffers while earlier fragments
+//! are still in flight (the IPoIB socket buffers, the MPI eager slots)
+//! therefore allocate each buffer as its own chunk with
+//! [`GuestMem::alloc_slots`]: reusing a buffer clones that buffer, never
+//! the pool. [`GuestMem::cow_stats`] counts the copies.
+//!
 //! None of this is visible in virtual time — reads and writes are
 //! instantaneous model operations either way — so simulation results are
 //! bit-identical to the copying implementation; only wall-clock time and
 //! allocator traffic change.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::ops::Deref;
+use std::ops::{Add, Deref};
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -211,6 +218,43 @@ impl fmt::Debug for PayloadSeg {
     }
 }
 
+/// Copy-on-write copies: how many chunk clones, and how many bytes they
+/// cloned. Observer-only — nothing in the model reads them — and kept out
+/// of every digest and report.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CowStats {
+    /// Chunk clones forced by a write while a [`PayloadSeg`] still
+    /// referenced the chunk.
+    pub copies: u64,
+    /// Bytes those clones copied.
+    pub bytes: u64,
+}
+
+impl Add for CowStats {
+    type Output = CowStats;
+
+    fn add(self, other: CowStats) -> CowStats {
+        CowStats {
+            copies: self.copies + other.copies,
+            bytes: self.bytes + other.bytes,
+        }
+    }
+}
+
+thread_local! {
+    /// Every arena's copies on this thread (see [`thread_cow_stats`]).
+    static THREAD_COW: Cell<CowStats> = const {
+        Cell::new(CowStats { copies: 0, bytes: 0 })
+    };
+}
+
+/// Copy-on-write copies made so far by every arena on this thread. A
+/// simulation runs on one thread, so the difference across a run is the
+/// run's copy cost (`simbench` reports it per bench).
+pub fn thread_cow_stats() -> CowStats {
+    THREAD_COW.with(Cell::get)
+}
+
 /// How a patch's range must relate to a queried range (see
 /// [`Chunk::unshadowed_patch`]).
 #[derive(Clone, Copy)]
@@ -238,9 +282,20 @@ struct Chunk {
     /// Reference-installed writes not yet merged into `data`, in
     /// application order (later patches shadow earlier ones).
     patches: Vec<Patch>,
+    /// Copy-on-write clones of `data` so far.
+    cow: CowStats,
 }
 
 impl Chunk {
+    fn new(base: u64, data: Vec<u8>) -> Chunk {
+        Chunk {
+            base,
+            data: Rc::new(data),
+            patches: Vec::new(),
+            cow: CowStats::default(),
+        }
+    }
+
     fn len(&self) -> usize {
         self.data.len()
     }
@@ -254,6 +309,12 @@ impl Chunk {
     fn data_mut(&mut self) -> &mut Vec<u8> {
         if Rc::strong_count(&self.data) > 1 {
             self.data = Rc::new(self.data.as_ref().clone());
+            let copy = CowStats {
+                copies: 1,
+                bytes: self.data.len() as u64,
+            };
+            self.cow = self.cow + copy;
+            THREAD_COW.with(|t| t.set(t.get() + copy));
         }
         Rc::get_mut(&mut self.data).expect("uniquely owned after COW")
     }
@@ -403,15 +464,30 @@ impl GuestMem {
 
     /// Allocate `len` bytes initialized to `fill`.
     pub fn alloc(&self, len: usize, fill: u8) -> MemRegion {
+        self.alloc_slots(1, len, fill)
+    }
+
+    /// Allocate `count` slots of `len` bytes each, initialized to `fill`,
+    /// and return the region spanning them.
+    ///
+    /// Each slot is its own allocation, so when in-flight fragments still
+    /// pin a slot, a write to it copies that one slot, not the whole pool.
+    /// The slots sit at contiguous addresses, so the spanning region (and
+    /// a memory region registered over it) is the one a single
+    /// `alloc(count * len, fill)` would return.
+    pub fn alloc_slots(&self, count: usize, len: usize, fill: u8) -> MemRegion {
         let mut inner = self.inner.borrow_mut();
         let addr = inner.next;
-        inner.next += len as u64;
-        inner.chunks.push(Chunk {
-            base: addr,
-            data: Rc::new(vec![fill; len]),
-            patches: Vec::new(),
-        });
-        MemRegion { addr, len }
+        for i in 0..count {
+            inner
+                .chunks
+                .push(Chunk::new(addr + (i * len) as u64, vec![fill; len]));
+        }
+        inner.next += (count * len) as u64;
+        MemRegion {
+            addr,
+            len: count * len,
+        }
     }
 
     /// Allocate and initialize from a slice.
@@ -419,11 +495,7 @@ impl GuestMem {
         let mut inner = self.inner.borrow_mut();
         let addr = inner.next;
         inner.next += data.len() as u64;
-        inner.chunks.push(Chunk {
-            base: addr,
-            data: Rc::new(data.to_vec()),
-            patches: Vec::new(),
-        });
+        inner.chunks.push(Chunk::new(addr, data.to_vec()));
         MemRegion {
             addr,
             len: data.len(),
@@ -563,6 +635,15 @@ impl GuestMem {
     /// Total bytes allocated so far.
     pub fn allocated(&self) -> usize {
         (self.inner.borrow().next - GUEST_BASE) as usize
+    }
+
+    /// Copy-on-write copies this arena has made so far.
+    pub fn cow_stats(&self) -> CowStats {
+        let inner = self.inner.borrow();
+        inner
+            .chunks
+            .iter()
+            .fold(CowStats::default(), |t, c| t + c.cow)
     }
 }
 
@@ -783,6 +864,40 @@ mod tests {
         dst.install(dr.addr + 1, &src.read_region(b).unwrap())
             .unwrap();
         assert_eq!(&dst.read(dr.addr, 5).unwrap()[..], b"ABBA\0");
+    }
+
+    #[test]
+    fn cow_copies_one_slot_not_the_pool() {
+        let m = GuestMem::new();
+        let before = thread_cow_stats();
+        let pool = m.alloc_slots(4, 8, 7);
+        assert_eq!(pool.addr, GUEST_BASE);
+        assert_eq!((pool.len, m.allocated()), (32, 32));
+        // A segment pins slot 1: rewriting it copies that slot alone, and
+        // rewriting the unpinned slot 2 copies nothing.
+        let held = m.read(pool.addr + 8, 8).unwrap();
+        m.write(pool.addr + 8, &[1; 8]).unwrap();
+        m.write(pool.addr + 16, &[2; 8]).unwrap();
+        let one = CowStats {
+            copies: 1,
+            bytes: 8,
+        };
+        assert_eq!(m.cow_stats(), one);
+        assert_eq!(held, vec![7; 8]);
+        let want = [[7u8; 8], [1; 8], [2; 8], [7; 8]].concat();
+        assert_eq!(m.read_region(pool).unwrap(), want);
+        // One allocation of the pool's size copies all of it.
+        let flat = m.alloc(32, 0);
+        let _pin = m.read(flat.addr, 1).unwrap();
+        m.write(flat.addr + 8, &[1]).unwrap();
+        let total = CowStats {
+            copies: 2,
+            bytes: 8 + 32,
+        };
+        assert_eq!(m.cow_stats(), total);
+        let after = thread_cow_stats();
+        let thread = (after.copies - before.copies, after.bytes - before.bytes);
+        assert_eq!(thread, (total.copies, total.bytes));
     }
 
     #[test]

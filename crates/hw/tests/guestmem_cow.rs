@@ -1,9 +1,9 @@
 //! Property test: the copy-on-write [`GuestMem`] is observationally
 //! identical to a naive flat-buffer model that copies on every access.
 //!
-//! A DetRng-driven op sequence (alloc / write / fill / read / zero-copy
-//! install across arenas) runs against both implementations. Two
-//! properties are checked after every step:
+//! A DetRng-driven op sequence (alloc / slot-pool alloc / write / fill /
+//! read / zero-copy install across arenas) runs against both
+//! implementations. Three properties are checked after every step:
 //!
 //! 1. **Byte equivalence** — every read returns exactly the bytes the
 //!    naive model holds for that range.
@@ -12,6 +12,8 @@
 //!    matter how many overlapping writes/installs/fills happen afterwards
 //!    (this is the guarantee the old copying `read` gave for free and COW
 //!    must preserve).
+//! 3. **Copies stay allocation-sized** — no copy-on-write copy clones
+//!    more than the largest single allocation (one slot of a pool).
 
 use cord_hw::{GuestMem, PayloadSeg, GUEST_BASE};
 use cord_sim::DetRng;
@@ -63,6 +65,8 @@ struct Arena {
     naive: NaiveMem,
     /// (segment, bytes it must keep showing forever).
     snapshots: Vec<(PayloadSeg, Vec<u8>)>,
+    /// Largest single allocation (a pool counts one slot).
+    max_alloc: usize,
 }
 
 impl Arena {
@@ -71,6 +75,7 @@ impl Arena {
             cow: GuestMem::new(),
             naive: NaiveMem::new(),
             snapshots: Vec::new(),
+            max_alloc: 0,
         }
     }
 
@@ -95,6 +100,15 @@ impl Arena {
             );
         }
     }
+
+    fn check_copy_size(&self, step: usize) {
+        let cow = self.cow.cow_stats();
+        assert!(
+            cow.bytes <= cow.copies * self.max_alloc as u64,
+            "step {step}: {cow:?} copied more than one allocation of at most {} B",
+            self.max_alloc
+        );
+    }
 }
 
 #[test]
@@ -107,15 +121,24 @@ fn cow_guestmem_matches_naive_reference_model() {
     for step in 0..4000 {
         let which = rng.uniform_range(0, 2) as usize;
         match rng.uniform_range(0, 100) {
-            // Occasionally grow an arena (bounded so ranges stay dense).
+            // Occasionally grow an arena (bounded so ranges stay dense):
+            // one allocation, or a pool of 2–4 slots that must lay out
+            // exactly like one allocation of the pool's size.
             0..=4 => {
                 let len = rng.uniform_range(1, 600) as usize;
                 let fill = rng.next_u64() as u8;
+                let slots = rng.uniform_range(1, 5) as usize;
                 let a = &mut arenas[which];
                 if a.naive.len() < 16 << 10 {
-                    let r = a.cow.alloc(len, fill);
-                    let addr = a.naive.alloc(len, fill);
+                    let r = if slots == 1 {
+                        a.cow.alloc(len, fill)
+                    } else {
+                        a.cow.alloc_slots(slots, len, fill)
+                    };
+                    let addr = a.naive.alloc(slots * len, fill);
                     assert_eq!(r.addr, addr, "allocation layout must match");
+                    assert_eq!(r.len, slots * len, "a pool spans its slots");
+                    a.max_alloc = a.max_alloc.max(len);
                 }
             }
             // Byte writes.
@@ -179,6 +202,7 @@ fn cow_guestmem_matches_naive_reference_model() {
         }
         for a in &arenas {
             a.check_snapshots(step);
+            a.check_copy_size(step);
         }
     }
 

@@ -136,8 +136,8 @@ impl IpoibStack {
         let kern_mem = GuestMem::new();
         let mtu = spec.ipoib.mtu;
         let rx_pool = spec.nic.rq_depth;
-        // One arena covering all buffers, registered once.
-        let pool = kern_mem.alloc(mtu * (TX_POOL + rx_pool), 0);
+        // One slot per buffer, registered once.
+        let pool = kern_mem.alloc_slots(TX_POOL + rx_pool, mtu, 0);
         let mr = nic
             .mr_table()
             .register(kern_mem.clone(), pool, Access::all());
@@ -568,6 +568,26 @@ mod tests {
         let (tx, rx) = s0.counters();
         assert!(tx >= 50, "fragmented into {tx} packets");
         let _ = rx;
+    }
+
+    #[test]
+    fn tx_fragment_copies_at_most_its_own_buffer() {
+        let sim = Sim::new();
+        let (s0, s1, c0, c1) = setup(&sim);
+        let a = s0.socket();
+        let b = s1.socket();
+        let b_addr = b.addr();
+        sim.block_on(async move {
+            a.send_to(&c0, b_addr, &msg(100_000)).await.unwrap();
+            b.recv(&c1).await;
+        });
+        // Reusing a TX buffer while the receiver still holds its previous
+        // packet copies that one buffer, never the whole pool.
+        let (frags, _) = s0.counters();
+        let mtu = system_l().ipoib.mtu as u64;
+        let cow = s0.inner.kern_mem.cow_stats();
+        assert!(cow.copies <= frags, "{cow:?} for {frags} fragments");
+        assert_eq!(cow.bytes, cow.copies * mtu, "each copy is one buffer");
     }
 
     #[test]

@@ -573,22 +573,22 @@ impl Sim {
             panic!("sim: exceeded max_polls={max} — runaway simulation?");
         }
         let mut cx = Context::from_waker(&waker);
-        match fut.as_mut().poll(&mut cx) {
-            Poll::Ready(()) => {
-                let mut tasks = self.inner.tasks.borrow_mut();
-                let slot = &mut tasks[id.idx() as usize];
-                slot.cell = None;
-                slot.gen = slot.gen.wrapping_add(1);
-                slot.next_free = self.inner.free_head.get();
-                self.inner.free_head.set(id.idx());
-                self.inner.live.set(self.inner.live.get() - 1);
-            }
-            Poll::Pending => {
-                let mut tasks = self.inner.tasks.borrow_mut();
-                if let Some(cell) = tasks[id.idx() as usize].cell.as_mut() {
-                    cell.fut = Some(fut);
-                }
-            }
+        let done = fut.as_mut().poll(&mut cx).is_ready();
+        let mut tasks = self.inner.tasks.borrow_mut();
+        let slot = &mut tasks[id.idx() as usize];
+        if slot.gen != id.gen() {
+            // Torn down during its own poll (see [`Sim::teardown`]): the
+            // slot is already vacant, and `fut` drops on return.
+            return;
+        }
+        if done {
+            slot.cell = None;
+            slot.gen = slot.gen.wrapping_add(1);
+            slot.next_free = self.inner.free_head.get();
+            self.inner.free_head.set(id.idx());
+            self.inner.live.set(self.inner.live.get() - 1);
+        } else if let Some(cell) = slot.cell.as_mut() {
+            cell.fut = Some(fut);
         }
     }
 
@@ -673,6 +673,47 @@ impl Sim {
     /// Number of live (spawned, not yet finished) tasks.
     pub fn live_tasks(&self) -> usize {
         self.inner.live.get()
+    }
+
+    /// Drop every task and every pending timer; the clock stays where it
+    /// is, and the simulation can spawn and run new work afterwards.
+    ///
+    /// Every task's future holds `Sim` clones, and the tasks and timers
+    /// hold the components a simulation built, so those form `Rc` cycles
+    /// through this executor: nothing is freed until the tasks and timers
+    /// are dropped. Dropping a future can cancel timers (`Sleep`), wake
+    /// other tasks (channel ends), or even spawn, so this repeats until
+    /// the task slab and the timer wheel are both empty. It may run inside
+    /// a task's poll: that task's slot is vacated with the rest, and its
+    /// future drops when the poll returns.
+    pub fn teardown(&self) {
+        loop {
+            let cells: Vec<TaskCell> = {
+                let mut tasks = self.inner.tasks.borrow_mut();
+                let mut cells = Vec::new();
+                let mut free = NO_FREE;
+                for (idx, slot) in tasks.iter_mut().enumerate().rev() {
+                    if let Some(cell) = slot.cell.take() {
+                        // Stale wakes of the dropped task must stay stale.
+                        slot.gen = slot.gen.wrapping_add(1);
+                        cells.push(cell);
+                    }
+                    slot.next_free = free;
+                    free = idx as u32;
+                }
+                self.inner.free_head.set(free);
+                cells
+            };
+            self.inner.live.set(0);
+            let timers = self.inner.timers.borrow_mut().cancel_all();
+            self.inner.ready.borrow_mut().clear();
+            if cells.is_empty() && timers.is_empty() {
+                return;
+            }
+            // Dropped with no executor borrow held: the drops re-enter.
+            drop(cells);
+            drop(timers);
+        }
     }
 }
 
@@ -1169,6 +1210,84 @@ mod tests {
             v
         }
         assert_eq!(run(false), run(true));
+    }
+
+    /// Spawns a parked task (holding `marker`) when dropped.
+    struct SpawnOnDrop {
+        sim: Sim,
+        marker: Rc<()>,
+    }
+
+    impl Drop for SpawnOnDrop {
+        fn drop(&mut self) {
+            let m = Rc::clone(&self.marker);
+            self.sim.spawn(async move {
+                let _m = m;
+                std::future::pending::<()>().await
+            });
+        }
+    }
+
+    #[test]
+    fn teardown_drops_every_task_and_timer() {
+        let sim = Sim::new();
+        let marker = Rc::new(());
+        let (m1, m2) = (Rc::clone(&marker), Rc::clone(&marker));
+        let s = sim.clone();
+        sim.spawn(async move {
+            let _m = m1;
+            s.sleep(D::from_secs(1)).await
+        });
+        sim.schedule_after(D::from_secs(2), move |_| drop(m2));
+        // A parked task whose drop spawns another: teardown repeats until
+        // the drops stop creating work.
+        let on_drop = SpawnOnDrop {
+            sim: sim.clone(),
+            marker: Rc::clone(&marker),
+        };
+        sim.spawn(async move {
+            let _d = on_drop;
+            std::future::pending::<()>().await
+        });
+        sim.block_on(async {});
+        assert_eq!(sim.live_tasks(), 2);
+
+        sim.teardown();
+        assert_eq!(sim.live_tasks(), 0);
+        assert_eq!(Rc::strong_count(&marker), 1, "every holder was dropped");
+        sim.run();
+        assert_eq!(sim.now(), SimTime::ZERO, "the timers went with the tasks");
+        // The simulation itself stays usable.
+        let s = sim.clone();
+        let t = sim.block_on(async move {
+            s.sleep(D::from_ns(5)).await;
+            s.now()
+        });
+        assert_eq!(t, SimTime::ZERO + D::from_ns(5));
+    }
+
+    #[test]
+    fn teardown_inside_a_poll_vacates_the_polled_task() {
+        // A task that tears the simulation down and finishes in that poll.
+        let sim = Sim::new();
+        let s = sim.clone();
+        let done = sim.spawn(async move { s.teardown() });
+        sim.run();
+        assert!(done.is_finished());
+        assert_eq!(sim.live_tasks(), 0);
+
+        // One that tears down and parks: the poll goes on until it
+        // returns, then the future drops, cancelling its sleep.
+        let s = sim.clone();
+        let parked = sim.spawn(async move {
+            s.teardown();
+            s.sleep(D::from_us(1)).await;
+            unreachable!("a torn-down task is never polled again");
+        });
+        sim.run();
+        assert!(!parked.is_finished());
+        assert_eq!(sim.live_tasks(), 0);
+        assert_eq!(sim.now(), SimTime::ZERO);
     }
 
     #[test]

@@ -418,6 +418,19 @@ impl<T> TimerWheel<T> {
         true
     }
 
+    /// Cancel every pending timer and return their payloads, in slab
+    /// order. Each entry is tombstoned as [`TimerWheel::cancel`] leaves
+    /// it, so outstanding handles go stale while the cursor and the
+    /// counters stay as they were.
+    pub fn cancel_all(&mut self) -> Vec<T> {
+        self.len = 0;
+        self.cached_min = None;
+        self.entries
+            .iter_mut()
+            .filter_map(|e| e.payload.take())
+            .collect()
+    }
+
     /// Minimum `(at, seq, idx)` across all levels and the overflow head,
     /// pruning tombstoned members as they surface.
     fn find_min(&mut self) -> Option<Member> {
@@ -622,6 +635,28 @@ mod tests {
         for i in 0..8u64 {
             w.insert(10_000_000 + 1_000_000 * (i + 1), 100 + i, i as u32);
         }
+        assert_eq!(w.slab_allocs(), before);
+    }
+
+    #[test]
+    fn cancel_all_returns_every_pending_payload_and_keeps_the_wheel_usable() {
+        let mut w = TimerWheel::new();
+        let near = w.insert(2_000_000, 0, 0);
+        let gone = w.insert(3_000_000, 1, 1);
+        let far = w.insert(u64::MAX / 2, 2, 2); // overflow heap
+        assert!(w.cancel(gone));
+        let mut taken = w.cancel_all();
+        taken.sort_unstable();
+        assert_eq!(taken, vec![0, 2]);
+        assert!(w.is_empty());
+        assert!(!w.cancel(near) && !w.cancel(far), "handles went stale");
+        assert!(w.peek().is_none(), "tombstones never surface");
+        // The wheel keeps working, and its tombstones were reclaimed.
+        let before = w.slab_allocs();
+        w.insert(5_000_000, 3, 3);
+        w.insert(4_000_000, 4, 4);
+        let fired: Vec<u32> = drain(&mut w).into_iter().map(|(_, _, p)| p).collect();
+        assert_eq!(fired, vec![4, 3]);
         assert_eq!(w.slab_allocs(), before);
     }
 
