@@ -47,8 +47,8 @@
 //! digest: `results/simbench_attr.txt` attributes every bench's polls
 //! and timer fires to the subsystem that caused them (NIC engines,
 //! switch ports, CPU billing, other — the executor's [`Subsystem`]
-//! tags) and counts the bench's guest-memory copy-on-write copies and
-//! bytes, and `--trace` arms the packet-lifecycle ring during each bench
+//! tags) and counts the bench's guest-memory payload copies (copy-on-write
+//! clones and patch merges, each with its bytes), and `--trace` arms the packet-lifecycle ring during each bench
 //! and exports `results/simbench[_quick]_trace_<bench>.json` in Chrome
 //! trace_event form. Tracing observes without perturbing: the digest is
 //! byte-identical with and without `--trace`.
@@ -224,9 +224,11 @@ fn run_bench(b: &Bench, quick: bool, label: &str, trace: bool) -> BenchRun {
     }
     write!(
         attr,
-        " cow_copies={} cow_bytes={}",
+        " cow_copies={} cow_bytes={} merge_copies={} merge_bytes={}",
         cow.copies - cow0.copies,
-        cow.bytes - cow0.bytes
+        cow.bytes - cow0.bytes,
+        cow.merges - cow0.merges,
+        cow.merge_bytes - cow0.merge_bytes
     )
     .unwrap();
     let r = SimbenchReport {

@@ -16,21 +16,31 @@
 //! were at read time, which is what the old copying `read` guaranteed.
 //!
 //! On the receive side, [`GuestMem::install`] lands an inbound fragment by
-//! *reference*: the segment (still backed by the sender's chunk) is
+//! *reference*: the segment (still backed by the sender's buffer) is
 //! recorded as a patch over the destination chunk instead of being copied
-//! into it. Patches are merged into the backing buffer lazily — when the
-//! range is next read or written through the plain byte APIs, or when the
-//! patch list grows past a small bound. Steady-state RX traffic that lands
-//! fragments at the same offsets over and over (every RPC reuses its
-//! receive buffer) therefore never copies payload bytes at all: each
-//! install just replaces the previous patch for that range.
+//! into it. A fragment that continues the newest patch — the next bytes
+//! of the same buffer, landing right after it — extends that patch, so a
+//! message whose fragments arrive in order lands as one patch, and a read
+//! of the whole message shares the sender's buffer. A patch drops every
+//! earlier patch it fully covers, so steady-state traffic that lands
+//! messages at the same offsets over and over (every RPC reuses its
+//! receive buffer, every MPI rendezvous its landing zone) never copies
+//! payload bytes and never grows the list. Patches are merged into the
+//! backing buffer only when a write or fill overlaps them, when a read
+//! overlaps them and no single patch covers it, when the list reaches a
+//! small bound, or when the older patches pin more bytes of other buffers
+//! than the chunk holds.
+//! That last rule bounds what a chunk keeps alive: its own bytes, at most
+//! as many again in older patches, and the newest patch's buffer. A
+//! sender that owns its payload stages it the same way, by installing the
+//! whole buffer; the NIC's fragment reads then slice it.
 //!
 //! A copy-on-write copy clones one chunk, so its cost is the size of one
 //! allocation. Buffer pools that recycle buffers while earlier fragments
 //! are still in flight (the IPoIB socket buffers, the MPI eager slots)
 //! therefore allocate each buffer as its own chunk with
 //! [`GuestMem::alloc_slots`]: reusing a buffer clones that buffer, never
-//! the pool. [`GuestMem::cow_stats`] counts the copies.
+//! the pool. [`GuestMem::cow_stats`] counts these copies and the merges.
 //!
 //! None of this is visible in virtual time — reads and writes are
 //! instantaneous model operations either way — so simulation results are
@@ -41,8 +51,6 @@ use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::ops::{Add, Deref};
 use std::rc::Rc;
-
-use bytes::Bytes;
 
 /// Errors raised by guest-memory accesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,15 +149,15 @@ impl PayloadSeg {
         PayloadSeg::new(Rc::clone(&self.data), self.start + offset, len)
     }
 
+    /// Whether `next` views the bytes of the same buffer right after this
+    /// view's last byte.
+    fn is_followed_by(&self, next: &PayloadSeg) -> bool {
+        Rc::ptr_eq(&self.data, &next.data) && self.start + self.len == next.start
+    }
+
     /// Copy the viewed bytes into a fresh `Vec`.
     pub fn to_vec(&self) -> Vec<u8> {
         self[..].to_vec()
-    }
-
-    /// Zero-copy conversion into the workspace's [`Bytes`] type (shares
-    /// the same backing buffer).
-    pub fn to_bytes(&self) -> Bytes {
-        Bytes::from_shared(Rc::clone(&self.data), self.start, self.start + self.len)
     }
 }
 
@@ -193,12 +201,6 @@ impl PartialEq<Vec<u8>> for PayloadSeg {
     }
 }
 
-impl PartialEq<Bytes> for PayloadSeg {
-    fn eq(&self, other: &Bytes) -> bool {
-        self[..] == other[..]
-    }
-}
-
 impl From<Vec<u8>> for PayloadSeg {
     fn from(v: Vec<u8>) -> PayloadSeg {
         let len = v.len();
@@ -218,9 +220,10 @@ impl fmt::Debug for PayloadSeg {
     }
 }
 
-/// Copy-on-write copies: how many chunk clones, and how many bytes they
-/// cloned. Observer-only — nothing in the model reads them — and kept out
-/// of every digest and report.
+/// The payload copies an arena made behind its zero-copy API: chunk clones
+/// forced by copy-on-write, and patch merges that copy installed segments
+/// into a chunk's backing buffer. Observer-only — nothing in the model
+/// reads them — and kept out of every digest and report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CowStats {
     /// Chunk clones forced by a write while a [`PayloadSeg`] still
@@ -228,6 +231,10 @@ pub struct CowStats {
     pub copies: u64,
     /// Bytes those clones copied.
     pub bytes: u64,
+    /// Patch merges.
+    pub merges: u64,
+    /// Bytes those merges copied out of installed segments.
+    pub merge_bytes: u64,
 }
 
 impl Add for CowStats {
@@ -237,6 +244,8 @@ impl Add for CowStats {
         CowStats {
             copies: self.copies + other.copies,
             bytes: self.bytes + other.bytes,
+            merges: self.merges + other.merges,
+            merge_bytes: self.merge_bytes + other.merge_bytes,
         }
     }
 }
@@ -244,25 +253,15 @@ impl Add for CowStats {
 thread_local! {
     /// Every arena's copies on this thread (see [`thread_cow_stats`]).
     static THREAD_COW: Cell<CowStats> = const {
-        Cell::new(CowStats { copies: 0, bytes: 0 })
+        Cell::new(CowStats { copies: 0, bytes: 0, merges: 0, merge_bytes: 0 })
     };
 }
 
-/// Copy-on-write copies made so far by every arena on this thread. A
-/// simulation runs on one thread, so the difference across a run is the
-/// run's copy cost (`simbench` reports it per bench).
+/// Copies made so far by every arena on this thread. A simulation runs on
+/// one thread, so the difference across a run is the run's copy cost
+/// (`simbench` reports it per bench).
 pub fn thread_cow_stats() -> CowStats {
     THREAD_COW.with(Cell::get)
-}
-
-/// How a patch's range must relate to a queried range (see
-/// [`Chunk::unshadowed_patch`]).
-#[derive(Clone, Copy)]
-enum PatchRel {
-    /// Ranges identical (required for in-place replacement).
-    Exact,
-    /// Patch fully covers the queried range (sufficient for reads).
-    Covering,
 }
 
 /// One inbound segment recorded over a chunk without copying.
@@ -272,36 +271,48 @@ struct Patch {
     seg: PayloadSeg,
 }
 
+impl Patch {
+    /// One past the patch's last chunk offset.
+    fn end(&self) -> usize {
+        self.offset + self.seg.len()
+    }
+}
+
 /// One allocation's backing storage.
 struct Chunk {
     /// First virtual address covered by this chunk.
     base: u64,
+    /// One past the last address, kept inline: chunk lookup probes it on
+    /// every access and must not chase the `data` pointer to learn it.
+    end: u64,
     /// Shared backing buffer; `Rc::strong_count > 1` means live read
     /// snapshots exist and a write must copy first.
     data: Rc<Vec<u8>>,
     /// Reference-installed writes not yet merged into `data`, in
     /// application order (later patches shadow earlier ones).
     patches: Vec<Patch>,
-    /// Copy-on-write clones of `data` so far.
-    cow: CowStats,
+    /// Copies this chunk has made so far.
+    copies: CowStats,
 }
 
 impl Chunk {
     fn new(base: u64, data: Vec<u8>) -> Chunk {
         Chunk {
             base,
+            end: base + data.len() as u64,
             data: Rc::new(data),
             patches: Vec::new(),
-            cow: CowStats::default(),
+            copies: CowStats::default(),
         }
     }
 
     fn len(&self) -> usize {
-        self.data.len()
+        (self.end - self.base) as usize
     }
 
-    fn end(&self) -> u64 {
-        self.base + self.len() as u64
+    fn count(&mut self, copy: CowStats) {
+        self.copies = self.copies + copy;
+        THREAD_COW.with(|t| t.set(t.get() + copy));
     }
 
     /// Mutable access to the backing buffer, cloning it first if any
@@ -309,12 +320,11 @@ impl Chunk {
     fn data_mut(&mut self) -> &mut Vec<u8> {
         if Rc::strong_count(&self.data) > 1 {
             self.data = Rc::new(self.data.as_ref().clone());
-            let copy = CowStats {
+            self.count(CowStats {
                 copies: 1,
                 bytes: self.data.len() as u64,
-            };
-            self.cow = self.cow + copy;
-            THREAD_COW.with(|t| t.set(t.get() + copy));
+                ..CowStats::default()
+            });
         }
         Rc::get_mut(&mut self.data).expect("uniquely owned after COW")
     }
@@ -326,48 +336,82 @@ impl Chunk {
         }
         let patches = std::mem::take(&mut self.patches);
         let buf = self.data_mut();
-        for p in patches {
-            buf[p.offset..p.offset + p.seg.len()].copy_from_slice(&p.seg);
+        let mut bytes = 0;
+        for p in &patches {
+            buf[p.offset..p.end()].copy_from_slice(&p.seg);
+            bytes += p.seg.len() as u64;
         }
+        self.count(CowStats {
+            merges: 1,
+            merge_bytes: bytes,
+            ..CowStats::default()
+        });
     }
 
-    /// Index of the most recent patch whose range relates to `[start,
-    /// start + len)` as `rel` demands (exactly equal for in-place
-    /// replacement, covering for by-reference reads) and that no *later*
-    /// patch overlaps — the one position where the patch can be used
-    /// without consulting the rest of the shadow order.
-    fn unshadowed_patch(&self, start: usize, len: usize, rel: PatchRel) -> Option<usize> {
-        let end = start + len;
-        let k = self.patches.iter().rposition(|p| match rel {
-            PatchRel::Exact => p.offset == start && p.seg.len() == len,
-            PatchRel::Covering => p.offset <= start && p.offset + p.seg.len() >= end,
-        })?;
+    /// Index of the most recent patch covering `[start, end)` that no
+    /// *later* patch overlaps — the one position where the patch can serve
+    /// a read without consulting the rest of the shadow order.
+    fn covering_patch(&self, start: usize, end: usize) -> Option<usize> {
+        let k = self
+            .patches
+            .iter()
+            .rposition(|p| p.offset <= start && p.end() >= end)?;
         let shadowed = self.patches[k + 1..]
             .iter()
-            .any(|p| p.offset < end && p.offset + p.seg.len() > start);
+            .any(|p| p.offset < end && p.end() > start);
         (!shadowed).then_some(k)
     }
 
-    /// Record `seg` at `offset` by reference. The fast path replaces an
-    /// existing unshadowed patch for the identical range (the windowed-RPC
-    /// case where every message reuses its landing offsets), so
-    /// steady-state RX installs never copy and never grow the list.
+    /// Record `seg` at `offset` by reference.
+    ///
+    /// A segment that continues the newest patch — the next bytes of the
+    /// same buffer, landing right after it — extends that patch, so a
+    /// message's in-order fragments become one patch. The newest patch
+    /// then drops every earlier patch it fully covers, which is how a
+    /// message landing where an earlier one did replaces it. The older
+    /// patches are merged into the backing buffer once they pin more bytes
+    /// than the chunk holds, or when the list reaches [`MAX_PATCHES`].
     fn install(&mut self, offset: usize, seg: PayloadSeg) {
-        if let Some(k) = self.unshadowed_patch(offset, seg.len(), PatchRel::Exact) {
-            self.patches[k].seg = seg;
-            return;
-        }
-        self.patches.push(Patch { offset, seg });
-        if self.patches.len() >= MAX_PATCHES {
+        let newest = match self.patches.pop() {
+            Some(mut last) if last.end() == offset && last.seg.is_followed_by(&seg) => {
+                last.seg.len += seg.len();
+                last
+            }
+            last => {
+                self.patches.extend(last);
+                Patch { offset, seg }
+            }
+        };
+        self.patches
+            .retain(|p| p.offset < newest.offset || p.end() > newest.end());
+        if self.pinned_by_older(&newest.seg) > self.len() || self.patches.len() + 1 >= MAX_PATCHES {
             self.merge_patches();
         }
+        self.patches.push(newest);
+    }
+
+    /// Bytes the older patches keep alive beyond the newest patch's
+    /// buffer: what merging them would free. A buffer counts once per run
+    /// of patches cutting it, so an out-of-order message, whose fragments
+    /// share one buffer, pins it once.
+    fn pinned_by_older(&self, newest: &PayloadSeg) -> usize {
+        let mut prev = &newest.data;
+        let mut pinned = 0;
+        for p in &self.patches {
+            let buf = &p.seg.data;
+            if !Rc::ptr_eq(buf, prev) && !Rc::ptr_eq(buf, &newest.data) {
+                pinned += buf.len();
+            }
+            prev = buf;
+        }
+        pinned
     }
 
     /// Whether `[start, end)` (chunk-relative) overlaps any pending patch.
     fn overlaps_patch(&self, start: usize, end: usize) -> bool {
         self.patches
             .iter()
-            .any(|p| p.offset < end && p.offset + p.seg.len() > start)
+            .any(|p| p.offset < end && p.end() > start)
     }
 }
 
@@ -381,12 +425,8 @@ struct Inner {
 impl Inner {
     /// Index of the chunk containing `addr`, if any.
     fn chunk_idx(&self, addr: u64) -> Option<usize> {
-        let i = self
-            .chunks
-            .partition_point(|c| c.end() <= addr)
-            .min(self.chunks.len().saturating_sub(1));
-        let c = self.chunks.get(i)?;
-        (c.base <= addr && addr < c.end()).then_some(i)
+        let i = self.chunks.partition_point(|c| c.end <= addr);
+        (self.chunks.get(i)?.base <= addr).then_some(i)
     }
 
     /// Bounds check: the arena is contiguous from [`GUEST_BASE`] to the
@@ -524,7 +564,7 @@ impl GuestMem {
                 // Fast path: a read inside one installed segment (whole
                 // fragment or a header peek) is served by reference, if
                 // nothing later shadows it.
-                if let Some(k) = chunk.unshadowed_patch(start, len, PatchRel::Covering) {
+                if let Some(k) = chunk.covering_patch(start, start + len) {
                     let p = &chunk.patches[k];
                     return Ok(p.seg.slice(start - p.offset, len));
                 }
@@ -643,7 +683,7 @@ impl GuestMem {
         inner
             .chunks
             .iter()
-            .fold(CowStats::default(), |t, c| t + c.cow)
+            .fold(CowStats::default(), |t, c| t + c.copies)
     }
 }
 
@@ -866,6 +906,117 @@ mod tests {
         assert_eq!(&dst.read(dr.addr, 5).unwrap()[..], b"ABBA\0");
     }
 
+    /// `payload` cut into `frag`-byte fragments, as the NIC reads them.
+    fn fragments(payload: &PayloadSeg, frag: usize) -> Vec<(usize, PayloadSeg)> {
+        (0..payload.len())
+            .step_by(frag)
+            .map(|off| (off, payload.slice(off, frag.min(payload.len() - off))))
+            .collect()
+    }
+
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 7 + i / 251) as u8).collect()
+    }
+
+    #[test]
+    fn in_order_fragments_coalesce_into_one_patch() {
+        let dst = GuestMem::new();
+        let dr = dst.alloc(16 << 10, 0);
+        let payload = PayloadSeg::from(pattern(10_000));
+        for (off, frag) in fragments(&payload, 1024) {
+            dst.install(dr.addr + 64 + off as u64, &frag).unwrap();
+            assert_eq!(dst.inner.borrow().chunks[0].patches.len(), 1);
+        }
+        let landed = |k: usize| {
+            let p = &dst.inner.borrow().chunks[0].patches[k];
+            (p.offset, p.seg.len())
+        };
+        assert_eq!(landed(0), (64, 10_000));
+        // The same offsets cut from another buffer continue nothing.
+        let other = PayloadSeg::from(vec![9u8; 10_100]);
+        dst.install(dr.addr + 10_064, &other.slice(10_000, 100))
+            .unwrap();
+        assert_eq!(landed(1), (10_064, 100));
+        let got = dst.read(dr.addr + 64, 10_100).unwrap();
+        assert_eq!(got, [&payload[..], &[9u8; 100][..]].concat());
+    }
+
+    #[test]
+    fn whole_range_read_shares_the_senders_buffer() {
+        let dst = GuestMem::new();
+        let dr = dst.alloc(16 << 10, 0);
+        let before = thread_cow_stats();
+        let payload = PayloadSeg::from(pattern(10_000));
+        for (off, frag) in fragments(&payload, 1024) {
+            dst.install(dr.addr + off as u64, &frag).unwrap();
+        }
+        let got = dst.read(dr.addr, 10_000).unwrap();
+        assert_eq!(got.as_ptr(), payload.as_ptr(), "no copy: the same bytes");
+        assert_eq!(got, payload);
+        assert_eq!(thread_cow_stats(), before, "no COW copy, no merge");
+    }
+
+    #[test]
+    fn out_of_order_and_duplicate_fragments_read_back_exactly() {
+        let payload = PayloadSeg::from(pattern(12_000));
+        let frags = fragments(&payload, 1000);
+        // Reversed, interleaved and repeated arrivals of one message.
+        let orders: [Vec<usize>; 3] = [
+            (0..12).rev().collect(),
+            vec![0, 2, 1, 4, 3, 6, 5, 8, 7, 10, 9, 11],
+            vec![0, 1, 1, 3, 2, 2, 5, 4, 0, 6, 7, 9, 8, 11, 10, 11],
+        ];
+        for order in orders {
+            let dst = GuestMem::new();
+            let dr = dst.alloc(12_000, 0xEE);
+            for &i in &order {
+                let (off, frag) = &frags[i];
+                dst.install(dr.addr + *off as u64, frag).unwrap();
+            }
+            assert_eq!(dst.read_region(dr).unwrap(), payload, "order {order:?}");
+            assert_eq!(dst.read(dr.addr + 999, 2).unwrap(), payload.slice(999, 2));
+        }
+    }
+
+    #[test]
+    fn fully_covered_patch_is_dropped() {
+        let dst = GuestMem::new();
+        let dr = dst.alloc(256, 0);
+        let small = PayloadSeg::from(vec![1u8; 16]);
+        dst.install(dr.addr + 32, &small).unwrap();
+        assert_eq!(Rc::strong_count(&small.data), 2, "the patch pins it");
+        let big = PayloadSeg::from(vec![2u8; 128]);
+        dst.install(dr.addr, &big).unwrap();
+        assert_eq!(dst.inner.borrow().chunks[0].patches.len(), 1);
+        assert_eq!(Rc::strong_count(&small.data), 1, "dropped, not merged");
+        assert_eq!(dst.cow_stats(), CowStats::default());
+        assert_eq!(dst.read(dr.addr + 32, 16).unwrap(), vec![2u8; 16]);
+    }
+
+    #[test]
+    fn older_patches_merge_once_they_pin_more_than_the_chunk() {
+        let dst = GuestMem::new();
+        let dr = dst.alloc(1000, 0);
+        // Each install keeps 100 bytes of a 400-byte buffer: the third
+        // leaves 800 pinned by older patches, the fourth 1200 > 1000.
+        let bufs: Vec<PayloadSeg> = (0..4u8)
+            .map(|i| PayloadSeg::from(vec![i + 1; 400]))
+            .collect();
+        for (i, buf) in bufs.iter().enumerate() {
+            dst.install(dr.addr + 100 * i as u64, &buf.slice(0, 100))
+                .unwrap();
+        }
+        let merged = CowStats {
+            merges: 1,
+            merge_bytes: 300,
+            ..CowStats::default()
+        };
+        assert_eq!(dst.cow_stats(), merged);
+        assert_eq!(dst.inner.borrow().chunks[0].patches.len(), 1, "newest kept");
+        let want = [[1u8; 100], [2; 100], [3; 100], [4; 100]].concat();
+        assert_eq!(dst.read(dr.addr, 400).unwrap(), want);
+    }
+
     #[test]
     fn cow_copies_one_slot_not_the_pool() {
         let m = GuestMem::new();
@@ -881,6 +1032,7 @@ mod tests {
         let one = CowStats {
             copies: 1,
             bytes: 8,
+            ..CowStats::default()
         };
         assert_eq!(m.cow_stats(), one);
         assert_eq!(held, vec![7; 8]);
@@ -893,6 +1045,7 @@ mod tests {
         let total = CowStats {
             copies: 2,
             bytes: 8 + 32,
+            ..CowStats::default()
         };
         assert_eq!(m.cow_stats(), total);
         let after = thread_cow_stats();
@@ -909,7 +1062,29 @@ mod tests {
         assert!(!s.is_empty());
         assert_eq!(s.to_vec(), b"3456".to_vec());
         assert_eq!(s, PayloadSeg::from(b"3456".to_vec()));
-        let b = s.to_bytes();
-        assert_eq!(&b[..], b"3456");
+        // Sub-slicing shares the buffer.
+        assert_eq!(s.slice(1, 2).as_ptr(), seg[4..].as_ptr());
+    }
+
+    #[test]
+    fn payload_seg_roundtrip_and_slice() {
+        let seg = PayloadSeg::from(vec![1u8, 2, 3, 4, 5]);
+        assert_eq!(seg.len(), 5);
+        let s = seg.slice(1, 3);
+        assert_eq!(&s[..], &[2, 3, 4]);
+        let s2 = s.slice(1, 2);
+        assert_eq!(&s2[..], &[3, 4]);
+        assert_eq!(seg.to_vec(), vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn payload_seg_equality_and_empty() {
+        let empty = PayloadSeg::from(Vec::new());
+        assert_eq!(empty.len(), 0);
+        assert!(empty.is_empty());
+        assert_eq!(
+            PayloadSeg::from(vec![7, 7]),
+            PayloadSeg::copy_from_slice(&[7, 7])
+        );
     }
 }

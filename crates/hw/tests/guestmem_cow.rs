@@ -2,8 +2,9 @@
 //! identical to a naive flat-buffer model that copies on every access.
 //!
 //! A DetRng-driven op sequence (alloc / slot-pool alloc / write / fill /
-//! read / zero-copy install across arenas) runs against both
-//! implementations. Three properties are checked after every step:
+//! read / zero-copy install across arenas / install of an owned buffer /
+//! install of a message's fragments, in order or shuffled) runs against
+//! both implementations. Three properties are checked after every step:
 //!
 //! 1. **Byte equivalence** — every read returns exactly the bytes the
 //!    naive model holds for that range.
@@ -120,7 +121,7 @@ fn cow_guestmem_matches_naive_reference_model() {
 
     for step in 0..4000 {
         let which = rng.uniform_range(0, 2) as usize;
-        match rng.uniform_range(0, 100) {
+        match rng.uniform_range(0, 120) {
             // Occasionally grow an arena (bounded so ranges stay dense):
             // one allocation, or a pool of 2–4 slots that must lay out
             // exactly like one allocation of the pool's size.
@@ -182,6 +183,62 @@ fn cow_guestmem_matches_naive_reference_model() {
                 let dst_addr = GUEST_BASE + dst_start;
                 arenas[dst_is].cow.install(dst_addr, &seg).unwrap();
                 arenas[dst_is].naive.write(dst_addr, &bytes);
+            }
+            // Installs of an owned buffer, as a send stages its payload.
+            70..=79 => {
+                let a = &mut arenas[which];
+                if let Some((addr, len)) = a.random_range(&rng) {
+                    let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                    a.cow
+                        .install(addr, &PayloadSeg::from(data.clone()))
+                        .unwrap();
+                    a.naive.write(addr, &data);
+                }
+            }
+            // A message's fragments: adjacent cuts of one segment (read
+            // from an arena or owned), landing in order, or shuffled with
+            // a repeat, as a lossy or sprayed fabric delivers them.
+            80..=89 => {
+                let Some((addr, len)) = arenas[which].random_range(&rng) else {
+                    continue;
+                };
+                if len == 0 {
+                    continue;
+                }
+                let (seg, bytes) = if rng.uniform_range(0, 2) == 0 {
+                    let src = &arenas[1 - which];
+                    match src.random_range(&rng) {
+                        Some((src_addr, src_len)) if src_len >= len => (
+                            src.cow.read(src_addr, len).unwrap(),
+                            src.naive.read(src_addr, len),
+                        ),
+                        _ => continue,
+                    }
+                } else {
+                    let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                    (PayloadSeg::from(data.clone()), data)
+                };
+                let mut frags = Vec::new();
+                let mut off = 0;
+                while off < len {
+                    let n = (rng.uniform_range(1, 80) as usize).min(len - off);
+                    frags.push((off, n));
+                    off += n;
+                }
+                if rng.uniform_range(0, 2) == 0 {
+                    for i in (1..frags.len()).rev() {
+                        frags.swap(i, rng.uniform_range(0, i as u64 + 1) as usize);
+                    }
+                    let again = frags[rng.uniform_range(0, frags.len() as u64) as usize];
+                    frags.push(again);
+                }
+                let a = &mut arenas[which];
+                for (off, n) in frags {
+                    a.cow
+                        .install(addr + off as u64, &seg.slice(off, n))
+                        .unwrap();
+                }
+                a.naive.write(addr, &bytes);
             }
             // Reads: verify bytes and retain some as stability snapshots.
             _ => {

@@ -15,8 +15,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
-use bytes::Bytes;
-use cord_hw::{Core, GuestMem, MachineSpec, MemRegion};
+use cord_hw::{Core, GuestMem, MachineSpec, MemRegion, PayloadSeg};
 use cord_nic::{
     Access, Cq, Mr, Nic, QpNum, RecvWqe, SendWqe, Sge, Transport, UdDest, VerbsError, WrId,
 };
@@ -52,7 +51,7 @@ impl std::fmt::Display for IpoibError {
 impl std::error::Error for IpoibError {}
 
 struct SockState {
-    queue: RefCell<VecDeque<(SockAddr, Bytes)>>,
+    queue: RefCell<VecDeque<(SockAddr, PayloadSeg)>>,
     notify: Notify,
 }
 
@@ -67,7 +66,7 @@ struct Parsed {
     frag: u16,
     nfrags: u16,
     total_len: u32,
-    payload: Bytes,
+    payload: PayloadSeg,
 }
 
 struct IpoibInner {
@@ -374,7 +373,7 @@ impl Socket {
     }
 
     /// Receive the next message (blocks through an epoll-style wait).
-    pub async fn recv(&self, core: &Core) -> (SockAddr, Bytes) {
+    pub async fn recv(&self, core: &Core) -> (SockAddr, PayloadSeg) {
         let inner = &self.stack.inner;
         let spec = &inner.spec.ipoib;
         core.kernel_work(SimDuration::from_ns_f64(spec.recvmsg_ns))
@@ -394,7 +393,7 @@ impl Socket {
     }
 
     /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<(SockAddr, Bytes)> {
+    pub fn try_recv(&self) -> Option<(SockAddr, PayloadSeg)> {
         self.state.queue.borrow_mut().pop_front()
     }
 }
@@ -457,7 +456,7 @@ async fn rx_dispatch(inner: Rc<IpoibInner>) {
                 frag,
                 nfrags,
                 total_len,
-                payload: raw.slice(HDR, flen).to_bytes(),
+                payload: raw.slice(HDR, flen),
             };
             // RSS: hash the flow onto a softirq queue.
             let q = (src_node * 31 + src_sock as usize) % inner.softirq_tx.len();
@@ -496,7 +495,7 @@ async fn softirq_worker(inner: Rc<IpoibInner>, _q: usize, rx: Receiver<Parsed>) 
             if let Some(s) = sock {
                 s.queue
                     .borrow_mut()
-                    .push_back(((p.src_node, p.src_sock), Bytes::from(msg)));
+                    .push_back(((p.src_node, p.src_sock), PayloadSeg::from(msg)));
                 s.notify.notify_one();
             }
         }

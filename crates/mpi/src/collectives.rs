@@ -19,7 +19,7 @@
 //! small NPB-style reductions keep the exact schedule (and virtual-time
 //! behavior) they had before the knob existed.
 
-use bytes::Bytes;
+use cord_core::prelude::PayloadSeg;
 
 use crate::rank::Comm;
 
@@ -35,14 +35,15 @@ pub enum ReduceOp {
 }
 
 impl ReduceOp {
-    fn apply(self, acc: &mut [f64], other: &[f64]) {
-        assert_eq!(acc.len(), other.len());
-        for (a, b) in acc.iter_mut().zip(other) {
-            match self {
-                ReduceOp::Sum => *a += b,
-                ReduceOp::Max => *a = a.max(*b),
-                ReduceOp::Min => *a = a.min(*b),
-            }
+    /// Reduce the little-endian f64s in `wire` into `acc`, straight from
+    /// the received bytes.
+    fn apply(self, acc: &mut [f64], wire: &[u8]) {
+        assert_eq!(acc.len() * 8, wire.len());
+        let theirs = decode(wire);
+        match self {
+            ReduceOp::Sum => acc.iter_mut().zip(theirs).for_each(|(a, b)| *a += b),
+            ReduceOp::Max => acc.iter_mut().zip(theirs).for_each(|(a, b)| *a = a.max(b)),
+            ReduceOp::Min => acc.iter_mut().zip(theirs).for_each(|(a, b)| *a = a.min(b)),
         }
     }
 }
@@ -117,18 +118,25 @@ impl std::fmt::Display for AllreduceAlgo {
     }
 }
 
-fn to_bytes(v: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(v.len() * 8);
-    for x in v {
-        out.extend_from_slice(&x.to_le_bytes());
+/// Encode f64s as the little-endian bytes a send hands over.
+fn encode(v: &[f64]) -> Vec<u8> {
+    let mut out = vec![0u8; v.len() * 8];
+    for (b, x) in out.chunks_exact_mut(8).zip(v) {
+        b.copy_from_slice(&x.to_le_bytes());
     }
     out
 }
 
-fn from_bytes(b: &[u8]) -> Vec<f64> {
-    b.chunks_exact(8)
+/// The f64s in little-endian `wire` bytes, decoded as they are read.
+fn decode(wire: &[u8]) -> impl Iterator<Item = f64> + '_ {
+    wire.chunks_exact(8)
         .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect()
+}
+
+/// Overwrite `dst` with the f64s in `wire`.
+fn decode_into(dst: &mut [f64], wire: &[u8]) {
+    assert_eq!(dst.len() * 8, wire.len());
+    dst.iter_mut().zip(decode(wire)).for_each(|(d, x)| *d = x);
 }
 
 /// Per-element reduction CPU cost, ns (one FLOP + load/store each).
@@ -148,18 +156,18 @@ impl Comm {
             let dst = (r + k) % p;
             let src = (r + p - k % p) % p;
             let tag = TAG_BASE.wrapping_add(0x100 + epoch.wrapping_mul(64) + round);
-            self.sendrecv(dst, tag, &[], src, tag).await;
+            self.sendrecv(dst, tag, Vec::new(), src, tag).await;
             k <<= 1;
             round += 1;
         }
     }
 
     /// Binomial-tree broadcast from `root`. Every rank returns the data.
-    pub async fn bcast(&self, root: usize, epoch: u32, data: Option<&[u8]>) -> Bytes {
+    pub async fn bcast(&self, root: usize, epoch: u32, data: Option<&[u8]>) -> PayloadSeg {
         let p = self.size();
         let vr = (self.rank() + p - root) % p; // virtual rank, root = 0
         let tag = TAG_BASE.wrapping_add(0x200).wrapping_add(epoch);
-        let mut buf: Option<Bytes> = data.map(Bytes::copy_from_slice);
+        let mut buf: Option<PayloadSeg> = data.map(PayloadSeg::copy_from_slice);
         if vr == 0 {
             assert!(buf.is_some(), "root must supply data");
         }
@@ -263,10 +271,14 @@ impl Comm {
             .bcast(
                 0,
                 0x4000 + epoch,
-                reduced.as_ref().map(|v| to_bytes(v)).as_deref(),
+                reduced.as_ref().map(|v| encode(v)).as_deref(),
             )
             .await;
-        from_bytes(&wire)
+        reduced.unwrap_or_else(|| {
+            let mut out = vec![0.0; vals.len()];
+            decode_into(&mut out, &wire);
+            out
+        })
     }
 
     async fn allreduce_rd(&self, epoch: u32, vals: &[f64], op: ReduceOp) -> Vec<f64> {
@@ -279,9 +291,8 @@ impl Comm {
             let partner = r ^ mask;
             let tag = TAG_BASE.wrapping_add(0x300 + epoch.wrapping_mul(64) + round);
             let theirs = self
-                .sendrecv(partner, tag, &to_bytes(&acc), partner, tag)
+                .sendrecv(partner, tag, encode(&acc), partner, tag)
                 .await;
-            let theirs = from_bytes(&theirs);
             // Reduction compute cost.
             self.compute_ns(REDUCE_NS_PER_ELEM * acc.len() as f64).await;
             op.apply(&mut acc, &theirs);
@@ -318,10 +329,9 @@ impl Comm {
             let (rlo, rhi) = bounds((r + p - s - 1) % p);
             let tag = tag_for(s);
             let theirs = self
-                .sendrecv(right, tag, &to_bytes(&acc[slo..shi]), left, tag)
+                .sendrecv(right, tag, encode(&acc[slo..shi]), left, tag)
                 .await;
-            let theirs = from_bytes(&theirs);
-            self.compute_ns(REDUCE_NS_PER_ELEM * theirs.len() as f64)
+            self.compute_ns(REDUCE_NS_PER_ELEM * (rhi - rlo) as f64)
                 .await;
             op.apply(&mut acc[rlo..rhi], &theirs);
         }
@@ -331,9 +341,9 @@ impl Comm {
             let (rlo, rhi) = bounds((r + p - s) % p);
             let tag = tag_for(p - 1 + s);
             let theirs = self
-                .sendrecv(right, tag, &to_bytes(&acc[slo..shi]), left, tag)
+                .sendrecv(right, tag, encode(&acc[slo..shi]), left, tag)
                 .await;
-            acc[rlo..rhi].copy_from_slice(&from_bytes(&theirs));
+            decode_into(&mut acc[rlo..rhi], &theirs);
         }
         acc
     }
@@ -366,10 +376,9 @@ impl Comm {
             };
             let tag = tag_for(round);
             let theirs = self
-                .sendrecv(partner, tag, &to_bytes(&acc[send.0..send.1]), partner, tag)
+                .sendrecv(partner, tag, encode(&acc[send.0..send.1]), partner, tag)
                 .await;
-            let theirs = from_bytes(&theirs);
-            self.compute_ns(REDUCE_NS_PER_ELEM * theirs.len() as f64)
+            self.compute_ns(REDUCE_NS_PER_ELEM * (keep.1 - keep.0) as f64)
                 .await;
             op.apply(&mut acc[keep.0..keep.1], &theirs);
             lo = keep.0;
@@ -381,14 +390,13 @@ impl Comm {
         for (plo, phi, partner) in steps.into_iter().rev() {
             let tag = tag_for(round);
             let theirs = self
-                .sendrecv(partner, tag, &to_bytes(&acc[lo..hi]), partner, tag)
+                .sendrecv(partner, tag, encode(&acc[lo..hi]), partner, tag)
                 .await;
-            let theirs = from_bytes(&theirs);
             // The partner owns the complementary half of the parent range.
             if lo == plo {
-                acc[hi..phi].copy_from_slice(&theirs);
+                decode_into(&mut acc[hi..phi], &theirs);
             } else {
-                acc[plo..lo].copy_from_slice(&theirs);
+                decode_into(&mut acc[plo..lo], &theirs);
             }
             lo = plo;
             hi = phi;
@@ -413,13 +421,13 @@ impl Comm {
         while mask < p {
             if vr & mask != 0 {
                 let parent = (vr - mask + root) % p;
-                self.send(parent, tag, &to_bytes(&acc)).await;
+                self.send_vec(parent, tag, encode(&acc)).await;
                 return None;
             }
             let child_vr = vr + mask;
             if child_vr < p {
                 let child = (child_vr + root) % p;
-                let theirs = from_bytes(&self.recv(child, tag).await);
+                let theirs = self.recv(child, tag).await;
                 self.compute_ns(REDUCE_NS_PER_ELEM * acc.len() as f64).await;
                 op.apply(&mut acc, &theirs);
             }
@@ -429,18 +437,20 @@ impl Comm {
     }
 
     /// Ring allgather: every rank contributes `mine`, all get all chunks.
-    pub async fn allgather(&self, epoch: u32, mine: &[u8]) -> Vec<Bytes> {
+    pub async fn allgather(&self, epoch: u32, mine: &[u8]) -> Vec<PayloadSeg> {
         let p = self.size();
         let r = self.rank();
         let tag = TAG_BASE.wrapping_add(0x500).wrapping_add(epoch);
-        let mut chunks: Vec<Option<Bytes>> = vec![None; p];
-        chunks[r] = Some(Bytes::copy_from_slice(mine));
+        let mut chunks: Vec<Option<PayloadSeg>> = vec![None; p];
+        chunks[r] = Some(PayloadSeg::copy_from_slice(mine));
         let right = (r + 1) % p;
         let left = (r + p - 1) % p;
         let mut cursor = r;
         for _ in 0..p - 1 {
-            let outgoing = chunks[cursor].clone().expect("have current chunk");
-            let incoming = self.sendrecv(right, tag, &outgoing, left, tag).await;
+            let outgoing = chunks[cursor].as_ref().expect("have current chunk");
+            let incoming = self
+                .sendrecv(right, tag, outgoing.to_vec(), left, tag)
+                .await;
             cursor = (cursor + p - 1) % p;
             chunks[cursor] = Some(incoming);
         }
@@ -451,14 +461,15 @@ impl Comm {
     }
 
     /// Pairwise-exchange all-to-all with per-destination payloads.
-    /// `sends[d]` goes to rank `d`; returns what every rank sent to us.
-    pub async fn alltoallv(&self, epoch: u32, sends: Vec<Vec<u8>>) -> Vec<Bytes> {
+    /// `sends[d]` goes to rank `d` (each send takes its buffer over);
+    /// returns what every rank sent to us.
+    pub async fn alltoallv(&self, epoch: u32, mut sends: Vec<Vec<u8>>) -> Vec<PayloadSeg> {
         let p = self.size();
         let r = self.rank();
         assert_eq!(sends.len(), p);
         let tag = TAG_BASE.wrapping_add(0x600).wrapping_add(epoch);
-        let mut recvs: Vec<Option<Bytes>> = vec![None; p];
-        recvs[r] = Some(Bytes::from(sends[r].clone()));
+        let mut recvs: Vec<Option<PayloadSeg>> = vec![None; p];
+        recvs[r] = Some(PayloadSeg::from(std::mem::take(&mut sends[r])));
         for step in 1..p {
             // Pairwise: talk to (r + step) while receiving from (r - step).
             let dst = (r + step) % p;
@@ -467,7 +478,7 @@ impl Comm {
                 .sendrecv(
                     dst,
                     tag.wrapping_add(step as u32),
-                    &sends[dst],
+                    std::mem::take(&mut sends[dst]),
                     src,
                     tag.wrapping_add(step as u32),
                 )

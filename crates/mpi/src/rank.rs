@@ -3,12 +3,18 @@
 //!
 //! ## Protocol (verbs transports)
 //! * **Eager** (≤ [`EAGER_MAX`] B): the sender copies the payload into a
-//!   per-peer slot (the real eager-copy cost), sends it with a 28-byte
-//!   header, and reuses the slot once the RC ACK comes back — slots double
-//!   as flow-control credits, so receive rings can never overrun.
+//!   per-peer slot, sends it with a 28-byte header, and reuses the slot
+//!   once the RC ACK comes back — slots double as flow-control credits, so
+//!   receive rings can never overrun. That copy is the eager cost the
+//!   model bills (`Core::memcpy`), not a host copy: the host builds the
+//!   frame once and installs it in the slot by reference
+//!   ([`GuestMem::install`]).
 //! * **Rendezvous** (larger): RTS → CTS (carrying the landing rkey) →
-//!   RDMA-write-with-immediate. Zero copies on either side; the immediate
-//!   value routes the completion back to the matched receive.
+//!   RDMA-write-with-immediate. Zero copies on either side, in the model
+//!   and on the host: the source zone takes the sender's buffer by
+//!   reference, and when the fragments land in order the receiver reads
+//!   them back as a view of it. The immediate value routes the completion
+//!   back to the matched receive.
 //!
 //! ## Progress
 //! Each rank runs a progress task that owns the rank's single CQ (send and
@@ -17,11 +23,11 @@
 //! from progress context (CTS) go through an outbox task so the progress
 //! loop itself never blocks on flow control.
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
-use bytes::Bytes;
 use cord_core::prelude::*;
 use cord_kern::Socket;
 use cord_sim::sync::{channel, Notify, Receiver, Sender};
@@ -65,7 +71,7 @@ type RndvTarget = (Rc<RecvOp>, MemRegion);
 struct RecvOp {
     src: usize,
     tag: u32,
-    done: RefCell<Option<Bytes>>,
+    done: RefCell<Option<PayloadSeg>>,
     notify: Notify,
 }
 
@@ -79,7 +85,7 @@ impl RecvOp {
         })
     }
 
-    fn complete(&self, data: Bytes) {
+    fn complete(&self, data: PayloadSeg) {
         *self.done.borrow_mut() = Some(data);
         self.notify.notify_one();
     }
@@ -96,7 +102,7 @@ struct SendOp {
 #[derive(Default)]
 struct Matching {
     posted: Vec<Rc<RecvOp>>,
-    unexpected: VecDeque<(usize, u32, Bytes)>,
+    unexpected: VecDeque<(usize, u32, PayloadSeg)>,
     /// RTS that arrived before the matching receive was posted.
     pending_rts: Vec<(usize, Header)>,
 }
@@ -110,7 +116,7 @@ impl Matching {
         Some(self.posted.swap_remove(idx))
     }
 
-    fn take_unexpected(&mut self, src: usize, tag: u32) -> Option<Bytes> {
+    fn take_unexpected(&mut self, src: usize, tag: u32) -> Option<PayloadSeg> {
         let idx = self
             .unexpected
             .iter()
@@ -242,24 +248,36 @@ impl Comm {
         (self.inner.bytes_sent.get(), self.inner.msgs_sent.get())
     }
 
-    /// Blocking tagged send.
+    /// Blocking tagged send. Eager and IPoIB sends copy the payload once
+    /// into a frame; a rendezvous copies it once into an owned buffer (see
+    /// [`Comm::isend`] to hand one over instead).
     pub async fn send(&self, dst: usize, tag: u32, data: &[u8]) {
+        self.send_cow(dst, tag, Cow::Borrowed(data)).await;
+    }
+
+    /// Blocking tagged send of an owned payload: a rendezvous stages it in
+    /// guest memory by reference, without a host copy.
+    pub(crate) async fn send_vec(&self, dst: usize, tag: u32, data: Vec<u8>) {
+        self.send_cow(dst, tag, Cow::Owned(data)).await;
+    }
+
+    async fn send_cow(&self, dst: usize, tag: u32, data: Cow<'_, [u8]>) {
         assert!(dst < self.inner.size && dst != self.inner.rank);
         self.inner
             .bytes_sent
             .set(self.inner.bytes_sent.get() + data.len() as u64);
         self.inner.msgs_sent.set(self.inner.msgs_sent.get() + 1);
         if self.inner.ipoib.is_some() {
-            self.send_ipoib(dst, tag, data).await;
+            self.send_ipoib(dst, tag, &data).await;
         } else if data.len() <= EAGER_MAX {
-            self.send_eager(dst, tag, data).await;
+            self.send_eager(dst, tag, &data).await;
         } else {
-            self.send_rndv(dst, tag, data).await;
+            self.send_rndv(dst, tag, data.into_owned()).await;
         }
     }
 
     /// Blocking tagged receive (exact source and tag).
-    pub async fn recv(&self, src: usize, tag: u32) -> Bytes {
+    pub async fn recv(&self, src: usize, tag: u32) -> PayloadSeg {
         assert!(src < self.inner.size && src != self.inner.rank);
         // 1. Unexpected-queue hit.
         let hit = self.inner.matching.borrow_mut().take_unexpected(src, tag);
@@ -283,30 +301,31 @@ impl Comm {
         }
     }
 
-    /// Nonblocking send: runs in a spawned task.
+    /// Nonblocking send of an owned payload: runs in a spawned task.
     pub fn isend(&self, dst: usize, tag: u32, data: Vec<u8>) -> cord_sim::JoinHandle<()> {
         let me = self.clone();
         self.sim.spawn(async move {
-            me.send(dst, tag, &data).await;
+            me.send_vec(dst, tag, data).await;
         })
     }
 
     /// Nonblocking receive: runs in a spawned task.
-    pub fn irecv(&self, src: usize, tag: u32) -> cord_sim::JoinHandle<Bytes> {
+    pub fn irecv(&self, src: usize, tag: u32) -> cord_sim::JoinHandle<PayloadSeg> {
         let me = self.clone();
         self.sim.spawn(async move { me.recv(src, tag).await })
     }
 
-    /// Simultaneous send+receive with the (possibly distinct) partners.
+    /// Simultaneous send+receive with the (possibly distinct) partners;
+    /// the send takes ownership of `data`.
     pub async fn sendrecv(
         &self,
         dst: usize,
         stag: u32,
-        data: &[u8],
+        data: Vec<u8>,
         src: usize,
         rtag: u32,
-    ) -> Bytes {
-        let send = self.isend(dst, stag, data.to_vec());
+    ) -> PayloadSeg {
+        let send = self.isend(dst, stag, data);
         let out = self.recv(src, rtag).await;
         send.await;
         out
@@ -328,18 +347,21 @@ impl Comm {
         }
     }
 
+    /// Stage `hdr` + `payload` in the peer's TX slot and post it. The frame
+    /// is built once and installed by reference, so a slot still pinned by
+    /// its previous frame is never cloned.
     async fn post_frame(&self, peer: usize, slot: usize, hdr: Header, payload: &[u8]) {
         let v = self.inner.verbs.as_ref().expect("verbs transport");
         let tx = v.tx[peer].as_ref().expect("peer endpoint");
         let region = tx.slots[slot];
-        let frame_len = HDR_LEN + payload.len();
-        let mem = v.ctx.mem();
-        mem.write(region.addr, &hdr.encode())
+        let mut frame = Vec::with_capacity(HDR_LEN + payload.len());
+        frame.extend_from_slice(&hdr.encode());
+        frame.extend_from_slice(payload);
+        let frame_len = frame.len();
+        v.ctx
+            .mem()
+            .install(region.addr, &PayloadSeg::from(frame))
             .expect("slot in arena");
-        if !payload.is_empty() {
-            mem.write(region.addr + HDR_LEN as u64, payload)
-                .expect("slot in arena");
-        }
         let qp = v.qps[peer].as_ref().expect("peer endpoint");
         qp.post_send(SendWqe::send(
             wr_eager(peer, slot),
@@ -366,13 +388,18 @@ impl Comm {
     // Rendezvous path (verbs)
     // ------------------------------------------------------------------
 
-    async fn send_rndv(&self, dst: usize, tag: u32, data: &[u8]) {
+    async fn send_rndv(&self, dst: usize, tag: u32, data: Vec<u8>) {
         let v = self.inner.verbs.as_ref().expect("verbs transport");
         let msg_id = self.next_msg();
+        let len = data.len();
         // Stage the payload in the registered source zone. This models the
-        // application's own (pre-registered) buffer, so no copy is billed.
-        let src_buf = ensure_big(&v.ctx, &v.rndv_tx, dst, data.len()).await;
-        v.ctx.mem().write(src_buf.addr, data).expect("rndv tx zone");
+        // application's own (pre-registered) buffer, so no copy is billed,
+        // and the host makes none: the zone takes the buffer by reference.
+        let src_buf = ensure_big(&v.ctx, &v.rndv_tx, dst, len).await;
+        v.ctx
+            .mem()
+            .install(src_buf.addr, &PayloadSeg::from(data))
+            .expect("rndv tx zone");
 
         let op = Rc::new(SendOp {
             cts: RefCell::new(None),
@@ -384,7 +411,7 @@ impl Comm {
 
         // RTS through the eager path.
         let slot = self.acquire_slot(dst).await;
-        self.post_frame(dst, slot, Header::rts(tag, msg_id, data.len()), &[])
+        self.post_frame(dst, slot, Header::rts(tag, msg_id, len), &[])
             .await;
 
         // Wait for CTS.
@@ -403,7 +430,7 @@ impl Comm {
                 wr_rndv(msg_id),
                 Sge {
                     addr: src_buf.addr,
-                    len: data.len(),
+                    len,
                     lkey: big_lkey(&v.rndv_tx, dst),
                 },
                 cts.raddr,
@@ -707,7 +734,7 @@ async fn create_ipoib_world(fabric: &Fabric, nranks: usize) -> Vec<Comm> {
 }
 
 /// Deliver an eager payload into the matching engine.
-fn deliver(inner: &Rc<RankInner>, src: usize, tag: u32, payload: Bytes) {
+fn deliver(inner: &Rc<RankInner>, src: usize, tag: u32, payload: PayloadSeg) {
     let op = inner.matching.borrow_mut().take_posted(src, tag);
     match op {
         Some(op) => op.complete(payload),
@@ -764,12 +791,7 @@ async fn handle_cqe(_sim: &Sim, inner: &Rc<RankInner>, cqe: Cqe) {
             match cqe.opcode {
                 CqeOpcode::Recv => {
                     let buf = v.rx_bufs[peer][slot];
-                    let frame = v
-                        .ctx
-                        .mem()
-                        .read(buf.addr, cqe.byte_len)
-                        .expect("rx ring")
-                        .to_bytes();
+                    let frame = v.ctx.mem().read(buf.addr, cqe.byte_len).expect("rx ring");
                     // Repost before processing so the ring never starves.
                     repost_rx(v, peer, slot);
                     if let Some((hdr, payload)) = split_frame(&frame) {
@@ -790,8 +812,7 @@ async fn handle_cqe(_sim: &Sim, inner: &Rc<RankInner>, cqe: Cqe) {
                             .ctx
                             .mem()
                             .read(region.addr, region.len)
-                            .expect("landing zone")
-                            .to_bytes();
+                            .expect("landing zone");
                         op.complete(data);
                     }
                 }
@@ -802,7 +823,7 @@ async fn handle_cqe(_sim: &Sim, inner: &Rc<RankInner>, cqe: Cqe) {
     }
 }
 
-fn handle_frame(inner: &Rc<RankInner>, src: usize, hdr: Header, payload: Bytes) {
+fn handle_frame(inner: &Rc<RankInner>, src: usize, hdr: Header, payload: PayloadSeg) {
     let v = inner.verbs.as_ref().expect("verbs rank");
     match hdr.kind {
         Kind::Eager => deliver(inner, src, hdr.tag, payload),

@@ -3,7 +3,7 @@
 //! Every control/eager message starts with a fixed 28-byte header; the
 //! rendezvous payload itself travels headerless via RDMA write-with-imm.
 
-use bytes::Bytes;
+use cord_core::prelude::PayloadSeg;
 
 /// Message kinds on the eager path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,18 +113,14 @@ impl Header {
 }
 
 /// Extract the header and payload slice from an eager-path frame.
-pub fn split_frame(frame: &Bytes) -> Option<(Header, Bytes)> {
+pub fn split_frame(frame: &PayloadSeg) -> Option<(Header, PayloadSeg)> {
     let hdr = Header::decode(frame)?;
-    let want = HDR_LEN + hdr.len as usize;
-    if matches!(hdr.kind, Kind::Eager) && frame.len() < want {
-        return None;
-    }
-    let payload = if hdr.kind == Kind::Eager {
-        frame.slice(HDR_LEN..want)
+    let len = if hdr.kind == Kind::Eager {
+        hdr.len as usize
     } else {
-        Bytes::new()
+        0
     };
-    Some((hdr, payload))
+    (frame.len() >= HDR_LEN + len).then(|| (hdr, frame.slice(HDR_LEN, len)))
 }
 
 #[cfg(test)]
@@ -158,7 +154,7 @@ mod tests {
         let h = Header::eager(5, 1, 3);
         let mut v = h.encode().to_vec();
         v.extend_from_slice(b"abc");
-        let (hdr, payload) = split_frame(&Bytes::from(v)).unwrap();
+        let (hdr, payload) = split_frame(&PayloadSeg::from(v)).unwrap();
         assert_eq!(hdr.tag, 5);
         assert_eq!(&payload[..], b"abc");
     }
@@ -167,14 +163,14 @@ mod tests {
     fn split_frame_rejects_truncated_eager() {
         let h = Header::eager(5, 1, 10);
         let v = h.encode().to_vec(); // no payload
-        assert!(split_frame(&Bytes::from(v)).is_none());
+        assert!(split_frame(&PayloadSeg::from(v)).is_none());
     }
 
     #[test]
     fn control_frames_have_empty_payload() {
         let h = Header::rts(1, 2, 4096);
         let v = h.encode().to_vec();
-        let (hdr, payload) = split_frame(&Bytes::from(v)).unwrap();
+        let (hdr, payload) = split_frame(&PayloadSeg::from(v)).unwrap();
         assert_eq!(hdr.kind, Kind::Rts);
         assert!(payload.is_empty());
     }

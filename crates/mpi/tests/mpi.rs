@@ -128,7 +128,7 @@ fn bidirectional_exchange_does_not_deadlock() {
     run_world(MpiTransport::Verbs(Dataplane::Bypass), 2, |c| async move {
         let peer = 1 - c.rank();
         let got = c
-            .sendrecv(peer, 3, &pattern(50_000, c.rank() as u8), peer, 3)
+            .sendrecv(peer, 3, pattern(50_000, c.rank() as u8), peer, 3)
             .await;
         assert_eq!(&got[..], &pattern(50_000, peer as u8)[..]);
     });
@@ -312,6 +312,43 @@ fn allreduce_max_works() {
         let out = c.allreduce(1, &mine, ReduceOp::Max).await;
         assert!(out.iter().all(|&v| v == 3.0));
     });
+}
+
+#[test]
+fn ring_allreduce_stages_rendezvous_payloads_without_host_copies() {
+    // 64 KiB per ring chunk: every step is a rendezvous (RTS/CTS frames
+    // through reused eager slots, payload by RDMA write), and three
+    // back-to-back allreduces reuse every slot and zone. Staging by
+    // reference must copy nothing on the host: no chunk clone is forced
+    // by a write while fragments or received frames still pin it.
+    let p = 4;
+    let n = p * 8192;
+    let before = cord_hw::thread_cow_stats();
+    run_world(
+        MpiTransport::Verbs(Dataplane::Bypass),
+        p,
+        move |c| async move {
+            for epoch in 0..3u32 {
+                let k = (c.rank() + 1) * (epoch as usize + 1);
+                let mine: Vec<f64> = (0..n).map(|i| (k * (i % 1000)) as f64).collect();
+                let out = c
+                    .allreduce_algo(AllreduceAlgo::Ring, epoch, &mine, ReduceOp::Sum)
+                    .await;
+                let ranks: usize = (1..=p).sum::<usize>() * (epoch as usize + 1);
+                let exact = out
+                    .iter()
+                    .enumerate()
+                    .all(|(i, &v)| v == (ranks * (i % 1000)) as f64);
+                assert!(exact, "epoch {epoch}: ring sums must be exact");
+            }
+        },
+    );
+    let after = cord_hw::thread_cow_stats();
+    assert_eq!(
+        (after.copies - before.copies, after.bytes - before.bytes),
+        (0, 0),
+        "copy-on-write copies during the allreduces"
+    );
 }
 
 #[test]

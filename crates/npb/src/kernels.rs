@@ -85,7 +85,7 @@ pub async fn mg_iter(comm: &Comm, class: Class, iter: usize) {
                 continue;
             }
             let tag = (iter * 64 + lvl * 2 + d) as u32;
-            comm.sendrecv(partner, tag, &payload(face), partner, tag)
+            comm.sendrecv(partner, tag, payload(face), partner, tag)
                 .await;
         }
         // Level-local smoothing.
@@ -203,7 +203,7 @@ pub async fn cg_iter(comm: &Comm, class: Class, iter: usize) {
         };
         if partner != r && partner < p {
             let tag = (iter * 64 + step * 2) as u32;
-            comm.sendrecv(partner, tag, &payload(seg), partner, tag)
+            comm.sendrecv(partner, tag, payload(seg), partner, tag)
                 .await;
         }
         // Dot product.
@@ -260,8 +260,8 @@ async fn adi_iter(
         };
         let tag = (iter * 64 + dim * 8) as u32;
         if fwd != r {
-            comm.sendrecv(fwd, tag, &payload(face), bwd, tag).await;
-            comm.sendrecv(bwd, tag + 1, &payload(face), fwd, tag + 1)
+            comm.sendrecv(fwd, tag, payload(face), bwd, tag).await;
+            comm.sendrecv(bwd, tag + 1, payload(face), fwd, tag + 1)
                 .await;
         }
         // Sweep solve.
