@@ -47,10 +47,11 @@
 //! digest: `results/simbench_attr.txt` attributes every bench's polls
 //! and timer fires to the subsystem that caused them (NIC engines,
 //! switch ports, CPU billing, other — the executor's [`Subsystem`]
-//! tags) and counts the bench's guest-memory payload copies (copy-on-write
-//! clones and patch merges, each with its bytes), and `--trace` arms the packet-lifecycle ring during each bench
-//! and exports `results/simbench[_quick]_trace_<bench>.json` in Chrome
-//! trace_event form. Tracing observes without perturbing: the digest is
+//! tags) and counts the bench's guest-memory payload copies (gathers and
+//! compactions, with their bytes; CI fails on any), and `--trace` arms
+//! the packet-lifecycle ring during each bench and exports
+//! `results/simbench[_quick]_trace_<bench>.json` in Chrome trace_event
+//! form. Tracing observes without perturbing: the digest is
 //! byte-identical with and without `--trace`.
 //!
 //! [`Subsystem`]: cord_sim::Subsystem
@@ -60,7 +61,7 @@ use std::time::Instant;
 
 use cord_bench::perfetto::write_chrome_trace;
 use cord_bench::{append_jsonl, print_table, save_json};
-use cord_hw::thread_cow_stats;
+use cord_hw::thread_copy_stats;
 use cord_nic::CcAlgorithm;
 use cord_sim::Subsystem;
 use cord_workload::scenarios::{self, Scale};
@@ -192,11 +193,11 @@ fn run_bench(b: &Bench, quick: bool, label: &str, trace: bool) -> BenchRun {
     let opts = RunOptions {
         trace_capacity: trace.then_some(TRACE_CAPACITY),
     };
-    let cow0 = thread_cow_stats();
+    let copies0 = thread_copy_stats();
     let t0 = Instant::now();
     let out = run_scenario_full(&b.spec, opts).unwrap_or_else(|e| panic!("{}: {e}", b.name));
     let wall = t0.elapsed().as_secs_f64();
-    let cow = thread_cow_stats();
+    let copies = thread_copy_stats();
     let (report, core) = (out.report, out.core);
     let fabric = report.fabric;
     // Attribution: deterministic counts, but deliberately NOT part of the
@@ -224,11 +225,9 @@ fn run_bench(b: &Bench, quick: bool, label: &str, trace: bool) -> BenchRun {
     }
     write!(
         attr,
-        " cow_copies={} cow_bytes={} merge_copies={} merge_bytes={}",
-        cow.copies - cow0.copies,
-        cow.bytes - cow0.bytes,
-        cow.merges - cow0.merges,
-        cow.merge_bytes - cow0.merge_bytes
+        " copies={} copy_bytes={}",
+        copies.copies - copies0.copies,
+        copies.bytes - copies0.bytes
     )
     .unwrap();
     let r = SimbenchReport {

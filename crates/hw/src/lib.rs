@@ -23,7 +23,7 @@ pub use dvfs::Dvfs;
 pub use link::{Fabric, Frame};
 pub use machine::{system_a, system_l, MachineSpec};
 pub use memory::{
-    thread_cow_stats, CowStats, GuestMem, MemError, MemRegion, PayloadSeg, GUEST_BASE,
+    thread_copy_stats, CopyStats, GuestMem, MemError, MemRegion, PayloadSeg, GUEST_BASE,
 };
 pub use noise::Noise;
 pub use pcie::{DmaDir, DmaEngine};

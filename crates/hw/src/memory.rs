@@ -1,4 +1,4 @@
-//! Simulated process memory with a copy-on-write payload path.
+//! Simulated process memory, each allocation a list of immutable extents.
 //!
 //! Every simulated process owns a [`GuestMem`] arena. Message payloads are
 //! real bytes carried end-to-end through the NIC pipeline, so tests can
@@ -7,44 +7,40 @@
 //!
 //! ## Zero-copy design
 //!
-//! The arena is a sequence of per-allocation *chunks*, each backed by a
-//! reference-counted buffer. [`GuestMem::read`] returns a [`PayloadSeg`] —
-//! an offset+length view over the chunk's current backing — in O(1),
-//! without copying the bytes. The snapshot is stable: a later write to the
-//! same range clones the chunk first (copy-on-write) whenever any segment
-//! still references it, so a reader always sees the bytes exactly as they
-//! were at read time, which is what the old copying `read` guaranteed.
+//! The arena is a sequence of per-allocation *chunks*. A chunk is a sorted
+//! list of *extents* that tiles it: each extent is a byte range of the
+//! chunk held as a [`PayloadSeg`], an offset+length view over a
+//! reference-counted buffer. Nothing writes a buffer once a segment views
+//! it, so every segment is a stable snapshot: a reader sees the bytes
+//! exactly as they were at read time, whatever is written afterwards.
 //!
-//! On the receive side, [`GuestMem::install`] lands an inbound fragment by
-//! *reference*: the segment (still backed by the sender's buffer) is
-//! recorded as a patch over the destination chunk instead of being copied
-//! into it. A fragment that continues the newest patch — the next bytes
-//! of the same buffer, landing right after it — extends that patch, so a
-//! message whose fragments arrive in order lands as one patch, and a read
-//! of the whole message shares the sender's buffer. A patch drops every
-//! earlier patch it fully covers, so steady-state traffic that lands
-//! messages at the same offsets over and over (every RPC reuses its
-//! receive buffer, every MPI rendezvous its landing zone) never copies
-//! payload bytes and never grows the list. Patches are merged into the
-//! backing buffer only when a write or fill overlaps them, when a read
-//! overlaps them and no single patch covers it, when the list reaches a
-//! small bound, or when the older patches pin more bytes of other buffers
-//! than the chunk holds.
-//! That last rule bounds what a chunk keeps alive: its own bytes, at most
-//! as many again in older patches, and the newest patch's buffer. A
-//! sender that owns its payload stages it the same way, by installing the
+//! [`GuestMem::install`] is the one way memory changes. It trims the
+//! extents the new segment overlaps, drops the ones it covers, and fuses
+//! the segment with a neighbour whose buffer it continues (the previous or
+//! next bytes of the same buffer). A message's fragments therefore become
+//! one extent in any arrival order, and a read of the whole message shares
+//! the sender's buffer; a buffer that every RPC or MPI rendezvous reuses
+//! keeps as few extents as the messages landing in it leave.
+//! [`GuestMem::write`] and [`GuestMem::fill`] install a buffer of their
+//! own. [`GuestMem::read`] slices the extent that holds the range, in
+//! O(1); a range that several extents cut is gathered into one buffer,
+//! which (inside one allocation) is installed back, so the next read of
+//! it slices. A sender that owns its payload stages it by installing the
 //! whole buffer; the NIC's fragment reads then slice it.
 //!
-//! A copy-on-write copy clones one chunk, so its cost is the size of one
-//! allocation. Buffer pools that recycle buffers while earlier fragments
-//! are still in flight (the IPoIB socket buffers, the MPI eager slots)
-//! therefore allocate each buffer as its own chunk with
-//! [`GuestMem::alloc_slots`]: reusing a buffer clones that buffer, never
-//! the pool. [`GuestMem::cow_stats`] counts these copies and the merges.
+//! Two bounds keep a chunk small: at most 32 extents, and at most twice
+//! its own bytes of buffers kept alive besides the newest extent's
+//! buffer. A chunk past either is copied into one fresh buffer, and its
+//! newest extent is landed over it again by reference, so the rest of
+//! that extent's message still fuses with it. A copy therefore costs one
+//! allocation or one read's length. The slots of a pool made with
+//! [`GuestMem::alloc_slots`] are separate chunks that start as views of
+//! one shared fill buffer. [`GuestMem::copy_stats`] counts the gathers and
+//! compactions, the only payload copies the arena makes.
 //!
 //! None of this is visible in virtual time — reads and writes are
 //! instantaneous model operations either way — so simulation results are
-//! bit-identical to the copying implementation; only wall-clock time and
+//! bit-identical to a copying implementation; only wall-clock time and
 //! allocator traffic change.
 
 use std::cell::{Cell, RefCell};
@@ -83,12 +79,11 @@ impl std::error::Error for MemError {}
 /// is never valid (catching "forgot to set the address" bugs).
 pub const GUEST_BASE: u64 = 0x1_0000;
 
-/// Patch-list length at which a chunk merges its patches back into the
-/// backing buffer. Small enough that patch lookups stay cheap, large
-/// enough that a windowed RPC workload (whose fragments keep landing at
-/// the same offsets and so *replace* patches instead of appending) never
-/// triggers a merge at all.
-const MAX_PATCHES: usize = 32;
+/// Extent count past which a chunk is compacted into one buffer. Small
+/// enough that extent lookups stay cheap, large enough that a windowed RPC
+/// workload (whose fragments keep landing at the same offsets and so
+/// *replace* extents) never reaches it.
+const MAX_EXTENTS: usize = 32;
 
 /// A contiguous, immutable view of payload bytes: an offset+length window
 /// over a reference-counted buffer.
@@ -96,8 +91,8 @@ const MAX_PATCHES: usize = 32;
 /// This is what [`GuestMem::read`] returns and what NIC fragments carry
 /// through WQE → packet → frame → RX completion. Cloning and sub-slicing
 /// are O(1) (a reference-count bump); the bytes themselves are shared with
-/// the arena chunk they were read from and are guaranteed stable — the
-/// arena copies on write while any segment is alive.
+/// the arena extent they were read from and are guaranteed stable — no
+/// buffer is ever written once a segment views it.
 ///
 /// # Examples
 ///
@@ -109,7 +104,8 @@ const MAX_PATCHES: usize = 32;
 /// let seg = mem.read(region.addr, region.len).unwrap();
 /// assert_eq!(&seg[..], b"zero copy payload");
 ///
-/// // Snapshots are stable across later writes (copy-on-write):
+/// // Snapshots are stable across later writes (a write lands new bytes
+/// // beside the old ones instead of overwriting them):
 /// mem.write(region.addr, b"ZERO").unwrap();
 /// assert_eq!(&seg[..5], b"zero ");
 /// assert_eq!(&mem.read(region.addr, 4).unwrap()[..], b"ZERO");
@@ -220,89 +216,82 @@ impl fmt::Debug for PayloadSeg {
     }
 }
 
-/// The payload copies an arena made behind its zero-copy API: chunk clones
-/// forced by copy-on-write, and patch merges that copy installed segments
-/// into a chunk's backing buffer. Observer-only — nothing in the model
-/// reads them — and kept out of every digest and report.
+/// The payload copies an arena made behind its zero-copy API: gathers of a
+/// range that several extents cut, and compactions of a chunk past its
+/// bounds. Observer-only — nothing in the model reads them — and kept out
+/// of every digest and report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CowStats {
-    /// Chunk clones forced by a write while a [`PayloadSeg`] still
-    /// referenced the chunk.
+pub struct CopyStats {
+    /// Gathers and compactions.
     pub copies: u64,
-    /// Bytes those clones copied.
+    /// Bytes they copied.
     pub bytes: u64,
-    /// Patch merges.
-    pub merges: u64,
-    /// Bytes those merges copied out of installed segments.
-    pub merge_bytes: u64,
 }
 
-impl Add for CowStats {
-    type Output = CowStats;
+impl CopyStats {
+    /// One copy of `bytes` bytes.
+    fn one(bytes: usize) -> CopyStats {
+        CopyStats {
+            copies: 1,
+            bytes: bytes as u64,
+        }
+    }
+}
 
-    fn add(self, other: CowStats) -> CowStats {
-        CowStats {
+impl Add for CopyStats {
+    type Output = CopyStats;
+
+    fn add(self, other: CopyStats) -> CopyStats {
+        CopyStats {
             copies: self.copies + other.copies,
             bytes: self.bytes + other.bytes,
-            merges: self.merges + other.merges,
-            merge_bytes: self.merge_bytes + other.merge_bytes,
         }
     }
 }
 
 thread_local! {
-    /// Every arena's copies on this thread (see [`thread_cow_stats`]).
-    static THREAD_COW: Cell<CowStats> = const {
-        Cell::new(CowStats { copies: 0, bytes: 0, merges: 0, merge_bytes: 0 })
-    };
+    /// Every arena's copies on this thread (see [`thread_copy_stats`]).
+    static THREAD_COPIES: Cell<CopyStats> = const { Cell::new(CopyStats { copies: 0, bytes: 0 }) };
 }
 
 /// Copies made so far by every arena on this thread. A simulation runs on
 /// one thread, so the difference across a run is the run's copy cost
 /// (`simbench` reports it per bench).
-pub fn thread_cow_stats() -> CowStats {
-    THREAD_COW.with(Cell::get)
+pub fn thread_copy_stats() -> CopyStats {
+    THREAD_COPIES.with(Cell::get)
 }
 
-/// One inbound segment recorded over a chunk without copying.
-struct Patch {
+/// A byte range of a chunk, held by reference.
+struct Extent {
     /// Offset within the chunk.
     offset: usize,
     seg: PayloadSeg,
 }
 
-impl Patch {
-    /// One past the patch's last chunk offset.
+impl Extent {
+    /// One past the extent's last chunk offset.
     fn end(&self) -> usize {
         self.offset + self.seg.len()
     }
 }
 
-/// One allocation's backing storage.
+/// One allocation's bytes.
 struct Chunk {
     /// First virtual address covered by this chunk.
     base: u64,
     /// One past the last address, kept inline: chunk lookup probes it on
-    /// every access and must not chase the `data` pointer to learn it.
+    /// every access.
     end: u64,
-    /// Shared backing buffer; `Rc::strong_count > 1` means live read
-    /// snapshots exist and a write must copy first.
-    data: Rc<Vec<u8>>,
-    /// Reference-installed writes not yet merged into `data`, in
-    /// application order (later patches shadow earlier ones).
-    patches: Vec<Patch>,
-    /// Copies this chunk has made so far.
-    copies: CowStats,
+    /// Extents in offset order, tiling `[0, len)`.
+    extents: Vec<Extent>,
 }
 
 impl Chunk {
-    fn new(base: u64, data: Vec<u8>) -> Chunk {
+    fn new(base: u64, seg: PayloadSeg) -> Chunk {
         Chunk {
             base,
-            end: base + data.len() as u64,
-            data: Rc::new(data),
-            patches: Vec::new(),
-            copies: CowStats::default(),
+            end: base + seg.len() as u64,
+            extents: vec![Extent { offset: 0, seg }],
         }
     }
 
@@ -310,108 +299,110 @@ impl Chunk {
         (self.end - self.base) as usize
     }
 
-    fn count(&mut self, copy: CowStats) {
-        self.copies = self.copies + copy;
-        THREAD_COW.with(|t| t.set(t.get() + copy));
+    /// Index of the extent holding chunk offset `at`.
+    fn find(&self, at: usize) -> usize {
+        self.extents.partition_point(|e| e.end() <= at)
     }
 
-    /// Mutable access to the backing buffer, cloning it first if any
-    /// outstanding [`PayloadSeg`] still references it (copy-on-write).
-    fn data_mut(&mut self) -> &mut Vec<u8> {
-        if Rc::strong_count(&self.data) > 1 {
-            self.data = Rc::new(self.data.as_ref().clone());
-            self.count(CowStats {
-                copies: 1,
-                bytes: self.data.len() as u64,
-                ..CowStats::default()
-            });
-        }
-        Rc::get_mut(&mut self.data).expect("uniquely owned after COW")
-    }
-
-    /// Merge all pending patches into the backing buffer.
-    fn merge_patches(&mut self) {
-        if self.patches.is_empty() {
-            return;
-        }
-        let patches = std::mem::take(&mut self.patches);
-        let buf = self.data_mut();
-        let mut bytes = 0;
-        for p in &patches {
-            buf[p.offset..p.end()].copy_from_slice(&p.seg);
-            bytes += p.seg.len() as u64;
-        }
-        self.count(CowStats {
-            merges: 1,
-            merge_bytes: bytes,
-            ..CowStats::default()
-        });
-    }
-
-    /// Index of the most recent patch covering `[start, end)` that no
-    /// *later* patch overlaps — the one position where the patch can serve
-    /// a read without consulting the rest of the shadow order.
-    fn covering_patch(&self, start: usize, end: usize) -> Option<usize> {
-        let k = self
-            .patches
+    /// Append the bytes at chunk offsets `[start, start + n)` to `out`.
+    fn copy_out(&self, start: usize, n: usize, out: &mut Vec<u8>) {
+        let end = start + n;
+        for e in self.extents[self.find(start)..]
             .iter()
-            .rposition(|p| p.offset <= start && p.end() >= end)?;
-        let shadowed = self.patches[k + 1..]
-            .iter()
-            .any(|p| p.offset < end && p.end() > start);
-        (!shadowed).then_some(k)
+            .take_while(|e| e.offset < end)
+        {
+            let from = start.max(e.offset) - e.offset;
+            out.extend_from_slice(&e.seg[from..end.min(e.end()) - e.offset]);
+        }
     }
 
-    /// Record `seg` at `offset` by reference.
+    /// Land `seg` at `offset` by reference.
     ///
-    /// A segment that continues the newest patch — the next bytes of the
-    /// same buffer, landing right after it — extends that patch, so a
-    /// message's in-order fragments become one patch. The newest patch
-    /// then drops every earlier patch it fully covers, which is how a
-    /// message landing where an earlier one did replaces it. The older
-    /// patches are merged into the backing buffer once they pin more bytes
-    /// than the chunk holds, or when the list reaches [`MAX_PATCHES`].
-    fn install(&mut self, offset: usize, seg: PayloadSeg) {
-        let newest = match self.patches.pop() {
-            Some(mut last) if last.end() == offset && last.seg.is_followed_by(&seg) => {
-                last.seg.len += seg.len();
-                last
+    /// The segment replaces the bytes it covers: the extents it overlaps
+    /// are trimmed, the ones it covers dropped, and it fuses with a
+    /// neighbour whose buffer it continues, so a message's fragments
+    /// become one extent in any arrival order. A chunk left with more
+    /// than [`MAX_EXTENTS`] extents, or whose extents keep more than twice
+    /// its bytes alive besides the new segment's buffer, is compacted
+    /// around the new segment; the copy that costs is returned.
+    fn install(&mut self, offset: usize, seg: PayloadSeg) -> CopyStats {
+        let end = offset + seg.len();
+        let i = self.find(offset);
+        let first = &self.extents[i];
+        let mut k = i;
+        if first.offset == offset && first.end() == end {
+            self.extents[i].seg = seg;
+        } else {
+            // Keep what the overlapped extents [i, j) hold outside the
+            // range: the first one's head, trimmed in place, and the last
+            // one's tail.
+            let j = i + self.extents[i..].partition_point(|e| e.offset < end);
+            let last = &self.extents[j - 1];
+            let tail = (last.end() > end).then(|| Extent {
+                offset: end,
+                seg: last.seg.slice(end - last.offset, last.end() - end),
+            });
+            if first.offset < offset {
+                self.extents[i].seg.len = offset - self.extents[i].offset;
+                k += 1;
             }
-            last => {
-                self.patches.extend(last);
-                Patch { offset, seg }
-            }
-        };
-        self.patches
-            .retain(|p| p.offset < newest.offset || p.end() > newest.end());
-        if self.pinned_by_older(&newest.seg) > self.len() || self.patches.len() + 1 >= MAX_PATCHES {
-            self.merge_patches();
+            let landed = Extent { offset, seg };
+            self.extents
+                .splice(k..j, std::iter::once(landed).chain(tail));
         }
-        self.patches.push(newest);
+        self.fuse_next(k);
+        if k > 0 && self.fuse_next(k - 1) {
+            k -= 1;
+        }
+        if self.extents.len() > MAX_EXTENTS || self.pinned_besides(k) > 2 * self.len() {
+            return self.compact(k);
+        }
+        CopyStats::default()
     }
 
-    /// Bytes the older patches keep alive beyond the newest patch's
-    /// buffer: what merging them would free. A buffer counts once per run
-    /// of patches cutting it, so an out-of-order message, whose fragments
-    /// share one buffer, pins it once.
-    fn pinned_by_older(&self, newest: &PayloadSeg) -> usize {
-        let mut prev = &newest.data;
+    /// Fuse extent `k + 1` into extent `k` if it continues `k`'s buffer.
+    fn fuse_next(&mut self, k: usize) -> bool {
+        let fuses = self
+            .extents
+            .get(k + 1)
+            .is_some_and(|next| self.extents[k].seg.is_followed_by(&next.seg));
+        if fuses {
+            let next = self.extents.remove(k + 1);
+            self.extents[k].seg.len += next.seg.len;
+        }
+        fuses
+    }
+
+    /// Bytes of the buffers the extents keep alive, besides the buffer of
+    /// extent `newest`; a buffer several extents cut counts once.
+    fn pinned_besides(&self, newest: usize) -> usize {
+        let newest = &self.extents[newest].seg.data;
         let mut pinned = 0;
-        for p in &self.patches {
-            let buf = &p.seg.data;
-            if !Rc::ptr_eq(buf, prev) && !Rc::ptr_eq(buf, &newest.data) {
+        for (i, e) in self.extents.iter().enumerate() {
+            let buf = &e.seg.data;
+            let seen = self.extents[..i]
+                .iter()
+                .any(|d| Rc::ptr_eq(&d.seg.data, buf));
+            if !seen && !Rc::ptr_eq(buf, newest) {
                 pinned += buf.len();
             }
-            prev = buf;
         }
         pinned
     }
 
-    /// Whether `[start, end)` (chunk-relative) overlaps any pending patch.
-    fn overlaps_patch(&self, start: usize, end: usize) -> bool {
-        self.patches
-            .iter()
-            .any(|p| p.offset < end && p.end() > start)
+    /// Copy the chunk into one fresh buffer, then land extent `keep` over
+    /// it again by reference.
+    fn compact(&mut self, keep: usize) -> CopyStats {
+        let mut buf = Vec::with_capacity(self.len());
+        self.copy_out(0, self.len(), &mut buf);
+        let kept = self.extents.swap_remove(keep);
+        self.extents.clear();
+        self.extents.push(Extent {
+            offset: 0,
+            seg: PayloadSeg::from(buf),
+        });
+        self.install(kept.offset, kept.seg);
+        CopyStats::one(self.len())
     }
 }
 
@@ -420,6 +411,8 @@ struct Inner {
     /// lookup is a binary search over a handful of entries.
     chunks: Vec<Chunk>,
     next: u64,
+    /// Copies this arena has made so far.
+    copies: CopyStats,
 }
 
 impl Inner {
@@ -430,13 +423,43 @@ impl Inner {
     }
 
     /// Bounds check: the arena is contiguous from [`GUEST_BASE`] to the
-    /// allocation frontier, exactly as in the flat-buffer implementation.
+    /// allocation frontier, exactly as in a flat-buffer implementation.
     fn check(&self, addr: u64, len: usize) -> Result<(), MemError> {
-        let err = MemError::OutOfBounds { addr, len };
-        if addr < GUEST_BASE || addr as u128 + len as u128 > self.next as u128 {
-            return Err(err);
+        let fits = addr >= GUEST_BASE && addr as u128 + len as u128 <= self.next as u128;
+        fits.then_some(())
+            .ok_or(MemError::OutOfBounds { addr, len })
+    }
+
+    /// Check `[addr, addr + len)`, then walk the chunks spanning it in
+    /// address order, calling `op(chunk, start_in_chunk, span_len,
+    /// done_before)` for each span. The single home of the chunk-walk
+    /// arithmetic shared by every mutation and the cross-chunk gather.
+    fn for_each_span(
+        &mut self,
+        addr: u64,
+        len: usize,
+        mut op: impl FnMut(&mut Chunk, usize, usize, usize),
+    ) -> Result<(), MemError> {
+        self.check(addr, len)?;
+        let mut done = 0;
+        while done < len {
+            let a = addr + done as u64;
+            let i = self.chunk_idx(a).expect("checked, and the arena is dense");
+            let chunk = &mut self.chunks[i];
+            let start = (a - chunk.base) as usize;
+            let n = (chunk.len() - start).min(len - done);
+            op(chunk, start, n, done);
+            done += n;
         }
         Ok(())
+    }
+
+    /// Count `copy` on this arena and on the thread.
+    fn count(&mut self, copy: CopyStats) {
+        if copy.copies > 0 {
+            self.copies = self.copies + copy;
+            THREAD_COPIES.with(|t| t.set(t.get() + copy));
+        }
     }
 }
 
@@ -498,6 +521,7 @@ impl GuestMem {
             inner: Rc::new(RefCell::new(Inner {
                 chunks: Vec::new(),
                 next: GUEST_BASE,
+                copies: CopyStats::default(),
             })),
         }
     }
@@ -510,18 +534,30 @@ impl GuestMem {
     /// Allocate `count` slots of `len` bytes each, initialized to `fill`,
     /// and return the region spanning them.
     ///
-    /// Each slot is its own allocation, so when in-flight fragments still
-    /// pin a slot, a write to it copies that one slot, not the whole pool.
-    /// The slots sit at contiguous addresses, so the spanning region (and
-    /// a memory region registered over it) is the one a single
+    /// Each slot is its own allocation, so the extents a slot collects and
+    /// the copy that compacts them stay the size of one slot, not the
+    /// pool's; until written, every slot views one shared fill buffer. The
+    /// slots sit at contiguous addresses, so the spanning region (and a
+    /// memory region registered over it) is the one a single
     /// `alloc(count * len, fill)` would return.
     pub fn alloc_slots(&self, count: usize, len: usize, fill: u8) -> MemRegion {
+        self.alloc_views(count, PayloadSeg::from(vec![fill; len]))
+    }
+
+    /// Allocate and initialize from a slice.
+    pub fn alloc_from(&self, data: &[u8]) -> MemRegion {
+        self.alloc_views(1, PayloadSeg::copy_from_slice(data))
+    }
+
+    /// Allocate `count` chunks at contiguous addresses, each one extent
+    /// viewing `seg`, and return the region spanning them.
+    fn alloc_views(&self, count: usize, seg: PayloadSeg) -> MemRegion {
         let mut inner = self.inner.borrow_mut();
-        let addr = inner.next;
+        let (addr, len) = (inner.next, seg.len());
         for i in 0..count {
             inner
                 .chunks
-                .push(Chunk::new(addr + (i * len) as u64, vec![fill; len]));
+                .push(Chunk::new(addr + (i * len) as u64, seg.clone()));
         }
         inner.next += (count * len) as u64;
         MemRegion {
@@ -530,130 +566,76 @@ impl GuestMem {
         }
     }
 
-    /// Allocate and initialize from a slice.
-    pub fn alloc_from(&self, data: &[u8]) -> MemRegion {
-        let mut inner = self.inner.borrow_mut();
-        let addr = inner.next;
-        inner.next += data.len() as u64;
-        inner.chunks.push(Chunk::new(addr, data.to_vec()));
-        MemRegion {
-            addr,
-            len: data.len(),
-        }
-    }
-
     /// Read `len` bytes at `addr` as a zero-copy [`PayloadSeg`] snapshot.
     ///
-    /// O(1) when the range lies within one allocation (the NIC data path
-    /// always does): the segment shares the chunk's backing buffer, and
-    /// later writes copy-on-write so the snapshot stays stable. Ranges
-    /// spanning allocations fall back to a gather copy.
+    /// O(1) when one extent holds the range (the NIC data path's fragment
+    /// reads of a staged payload always do): the segment shares that
+    /// extent's buffer. A range that several extents cut is gathered into
+    /// a fresh buffer, which is installed back when the range lies within
+    /// one allocation.
     pub fn read(&self, addr: u64, len: usize) -> Result<PayloadSeg, MemError> {
         let mut inner = self.inner.borrow_mut();
         inner.check(addr, len)?;
-        if len == 0 {
-            return Ok(PayloadSeg::new(Rc::new(Vec::new()), 0, 0));
-        }
-        let Some(i) = inner.chunk_idx(addr) else {
-            return Err(MemError::OutOfBounds { addr, len });
+        // In bounds, only an empty read (at the frontier) finds no chunk.
+        let Some(i) = inner.chunk_idx(addr).filter(|_| len > 0) else {
+            return Ok(PayloadSeg::from(Vec::new()));
         };
-        let chunk = &mut inner.chunks[i];
+        let chunk = &inner.chunks[i];
         let start = (addr - chunk.base) as usize;
-        if start + len <= chunk.len() {
-            if !chunk.patches.is_empty() {
-                // Fast path: a read inside one installed segment (whole
-                // fragment or a header peek) is served by reference, if
-                // nothing later shadows it.
-                if let Some(k) = chunk.covering_patch(start, start + len) {
-                    let p = &chunk.patches[k];
-                    return Ok(p.seg.slice(start - p.offset, len));
-                }
-                if chunk.overlaps_patch(start, start + len) {
-                    chunk.merge_patches();
-                }
-            }
-            return Ok(PayloadSeg::new(Rc::clone(&chunk.data), start, len));
+        let e = &chunk.extents[chunk.find(start)];
+        if start + len <= e.end() {
+            return Ok(e.seg.slice(start - e.offset, len));
         }
-        // Cross-chunk read: gather (cold path; the arena is contiguous).
-        drop(inner);
-        let mut out = vec![0u8; len];
-        self.gather(addr, &mut out)?;
-        Ok(PayloadSeg::from(out))
+        // Several extents cut the range: gather it, and inside one
+        // allocation install it back, so the next read of it slices.
+        let mut out = Vec::with_capacity(len);
+        inner.for_each_span(addr, len, |chunk, start, n, _| {
+            chunk.copy_out(start, n, &mut out);
+        })?;
+        let seg = PayloadSeg::from(out);
+        let mut copies = CopyStats::one(len);
+        let chunk = &mut inner.chunks[i];
+        if start + len <= chunk.len() {
+            copies = copies + chunk.install(start, seg.clone());
+        }
+        inner.count(copies);
+        Ok(seg)
     }
 
-    /// Walk the chunks spanning `[addr, addr + len)` in address order,
-    /// calling `op(chunk, start_in_chunk, span_len, done_before)` for each
-    /// span. The single home of the chunk-walk arithmetic shared by
-    /// [`GuestMem::write`], [`GuestMem::fill`], and the gather path.
-    fn for_each_span(
+    /// Land the segment `part(done, n)` over each chunk span of
+    /// `[addr, addr + len)`, where `done` bytes precede the span and `n`
+    /// is its length: the one path by which memory changes.
+    fn land(
         &self,
         addr: u64,
         len: usize,
-        mut op: impl FnMut(&mut Chunk, usize, usize, usize),
+        mut part: impl FnMut(usize, usize) -> PayloadSeg,
     ) -> Result<(), MemError> {
         let mut inner = self.inner.borrow_mut();
-        let mut done = 0;
-        while done < len {
-            let a = addr + done as u64;
-            let Some(i) = inner.chunk_idx(a) else {
-                return Err(MemError::OutOfBounds { addr, len });
-            };
-            let chunk = &mut inner.chunks[i];
-            let start = (a - chunk.base) as usize;
-            let n = (chunk.len() - start).min(len - done);
-            op(chunk, start, n, done);
-            done += n;
-        }
+        let mut copies = CopyStats::default();
+        inner.for_each_span(addr, len, |chunk, start, n, done| {
+            copies = copies + chunk.install(start, part(done, n));
+        })?;
+        inner.count(copies);
         Ok(())
     }
 
-    fn gather(&self, addr: u64, out: &mut [u8]) -> Result<(), MemError> {
-        self.for_each_span(addr, out.len(), |chunk, start, n, done| {
-            if chunk.overlaps_patch(start, start + n) {
-                chunk.merge_patches();
-            }
-            out[done..done + n].copy_from_slice(&chunk.data[start..start + n]);
-        })
-    }
-
-    /// Write `data` at `addr` (copy-on-write if snapshots are live).
+    /// Write `data` at `addr`. Earlier snapshots of the range keep their
+    /// bytes.
     pub fn write(&self, addr: u64, data: &[u8]) -> Result<(), MemError> {
-        self.inner.borrow().check(addr, data.len())?;
-        self.for_each_span(addr, data.len(), |chunk, start, n, done| {
-            if chunk.overlaps_patch(start, start + n) {
-                chunk.merge_patches();
-            }
-            chunk.data_mut()[start..start + n].copy_from_slice(&data[done..done + n]);
+        self.land(addr, data.len(), |done, n| {
+            PayloadSeg::copy_from_slice(&data[done..done + n])
         })
     }
 
-    /// Land `seg` at `addr` by reference — the zero-copy receive path.
+    /// Land `seg` at `addr` by reference — the zero-copy receive and
+    /// staging path.
     ///
-    /// Logically identical to `write(addr, &seg)`, but when the range lies
-    /// within one allocation the bytes are recorded as a patch sharing the
-    /// sender's buffer instead of being copied; the copy happens lazily if
-    /// and when the range is next accessed through the byte APIs.
+    /// Logically identical to `write(addr, &seg)`, but the bytes stay in
+    /// the segment's buffer instead of being copied: a later read inside
+    /// the range slices that buffer.
     pub fn install(&self, addr: u64, seg: &PayloadSeg) -> Result<(), MemError> {
-        let mut inner = self.inner.borrow_mut();
-        inner.check(addr, seg.len())?;
-        if seg.is_empty() {
-            return Ok(());
-        }
-        let Some(i) = inner.chunk_idx(addr) else {
-            return Err(MemError::OutOfBounds {
-                addr,
-                len: seg.len(),
-            });
-        };
-        let chunk = &mut inner.chunks[i];
-        let start = (addr - chunk.base) as usize;
-        if start + seg.len() <= chunk.len() {
-            chunk.install(start, seg.clone());
-            Ok(())
-        } else {
-            drop(inner);
-            self.write(addr, seg)
-        }
+        self.land(addr, seg.len(), |done, n| seg.slice(done, n))
     }
 
     /// Read a region.
@@ -661,15 +643,10 @@ impl GuestMem {
         self.read(r.addr, r.len)
     }
 
-    /// Fill a region with a byte value.
+    /// Fill a region with a byte value: each allocation it spans gets a
+    /// buffer of `v`s.
     pub fn fill(&self, r: MemRegion, v: u8) -> Result<(), MemError> {
-        self.inner.borrow().check(r.addr, r.len)?;
-        self.for_each_span(r.addr, r.len, |chunk, start, n, _| {
-            if chunk.overlaps_patch(start, start + n) {
-                chunk.merge_patches();
-            }
-            chunk.data_mut()[start..start + n].fill(v);
-        })
+        self.land(r.addr, r.len, |_, n| PayloadSeg::from(vec![v; n]))
     }
 
     /// Total bytes allocated so far.
@@ -677,13 +654,9 @@ impl GuestMem {
         (self.inner.borrow().next - GUEST_BASE) as usize
     }
 
-    /// Copy-on-write copies this arena has made so far.
-    pub fn cow_stats(&self) -> CowStats {
-        let inner = self.inner.borrow();
-        inner
-            .chunks
-            .iter()
-            .fold(CowStats::default(), |t, c| t + c.copies)
+    /// Payload copies this arena has made so far.
+    pub fn copy_stats(&self) -> CopyStats {
+        self.inner.borrow().copies
     }
 }
 
@@ -768,7 +741,11 @@ mod tests {
         let r = m.alloc_from(b"immutable snapshot");
         let snap = m.read_region(r).unwrap();
         m.write(r.addr, b"OVERWRITTEN BYTES!").unwrap();
-        assert_eq!(&snap[..], b"immutable snapshot", "COW preserved the view");
+        assert_eq!(
+            &snap[..],
+            b"immutable snapshot",
+            "the view's buffer is immutable"
+        );
         assert_eq!(&m.read_region(r).unwrap()[..], b"OVERWRITTEN BYTES!");
     }
 
@@ -793,10 +770,14 @@ mod tests {
         // Exact-range readback is served by reference.
         let got = dst.read(dr.addr + 8, sr.len).unwrap();
         assert_eq!(&got[..], b"payload from the wire");
-        // Overlapping byte reads see the merged view.
-        let merged = dst.read(dr.addr, 64).unwrap();
-        assert_eq!(&merged[..8], &[0; 8]);
-        assert_eq!(&merged[8..8 + sr.len], b"payload from the wire");
+        assert_eq!(got.as_ptr(), seg.as_ptr());
+        // Overlapping byte reads see the gathered view, which is installed
+        // back: the next read of the range slices it.
+        let gathered = dst.read(dr.addr, 64).unwrap();
+        assert_eq!(&gathered[..8], &[0; 8]);
+        assert_eq!(&gathered[8..8 + sr.len], b"payload from the wire");
+        assert_eq!(dst.read(dr.addr, 64).unwrap().as_ptr(), gathered.as_ptr());
+        assert_eq!(dst.copy_stats(), CopyStats::one(64), "one gather");
     }
 
     #[test]
@@ -813,7 +794,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_same_range_installs_do_not_grow_patches() {
+    fn repeated_same_range_installs_do_not_grow_extents() {
         let src = GuestMem::new();
         let dst = GuestMem::new();
         let sr = src.alloc(4096, 0);
@@ -824,31 +805,33 @@ mod tests {
             dst.install(dr.addr, &seg).unwrap();
             dst.install(dr.addr + 4096, &seg).unwrap();
         }
-        let inner = dst.inner.borrow();
+        let extents = dst.inner.borrow().chunks[0].extents.len();
         assert!(
-            inner.chunks[0].patches.len() <= 2,
-            "windowed installs must replace, not accumulate: {}",
-            inner.chunks[0].patches.len()
+            extents <= 2,
+            "windowed installs must replace, not accumulate: {extents}"
         );
-        drop(inner);
+        assert_eq!(dst.copy_stats(), CopyStats::default());
         assert_eq!(&dst.read(dr.addr, 4).unwrap()[..], 199u32.to_le_bytes());
     }
 
     #[test]
-    fn patch_merge_bound_is_enforced() {
-        let src = GuestMem::new();
+    fn extent_bound_is_enforced() {
         let dst = GuestMem::new();
-        let sr = src.alloc_from(&(0u8..32).collect::<Vec<_>>());
-        let dr = dst.alloc(64, 0xFF);
-        // 40 distinct single-byte installs force at least one merge.
-        for i in 0..40usize {
-            let seg = src.read(sr.addr + (i % 32) as u64, 1).unwrap();
-            dst.install(dr.addr + (i % 64) as u64, &seg).unwrap();
+        let dr = dst.alloc(128, 0xFF);
+        // 40 single-byte installs of distinct buffers, one byte apart: each
+        // adds two extents until the bound compacts the chunk.
+        for i in 0..40u8 {
+            let at = dr.addr + 2 * u64::from(i);
+            dst.install(at, &PayloadSeg::from(vec![i])).unwrap();
+            assert!(dst.inner.borrow().chunks[0].extents.len() <= MAX_EXTENTS);
         }
-        assert!(dst.inner.borrow().chunks[0].patches.len() < MAX_PATCHES);
-        for i in 0..40usize {
-            let want = (i % 32) as u8;
-            assert_eq!(dst.read(dr.addr + i as u64, 1).unwrap()[0], want);
+        assert!(
+            dst.copy_stats().copies >= 1,
+            "the bound compacted the chunk"
+        );
+        for i in 0..40u8 {
+            let at = dr.addr + 2 * u64::from(i);
+            assert_eq!(dst.read(at, 2).unwrap(), vec![i, 0xFF]);
         }
     }
 
@@ -860,14 +843,17 @@ mod tests {
         let dr = dst.alloc(64, 0);
         let seg = src.read_region(sr).unwrap();
         dst.install(dr.addr + 4, &seg).unwrap();
-        // A sub-range read inside the installed patch must not force a
-        // merge (the patch list survives) and must see the right bytes.
-        assert_eq!(&dst.read(dr.addr + 4, 3).unwrap()[..], b"HDR");
+        // A sub-range read inside the installed extent slices it: no copy,
+        // and the extents stay as they are.
+        let hdr = dst.read(dr.addr + 4, 3).unwrap();
+        assert_eq!(&hdr[..], b"HDR");
+        assert_eq!(hdr.as_ptr(), seg.as_ptr());
         assert_eq!(&dst.read(dr.addr + 8, 7).unwrap()[..], b"payload");
+        assert_eq!(dst.copy_stats(), CopyStats::default());
         assert_eq!(
-            dst.inner.borrow().chunks[0].patches.len(),
-            1,
-            "peek reads must not merge the patch away"
+            dst.inner.borrow().chunks[0].extents.len(),
+            3,
+            "peek reads must not gather the extent away"
         );
     }
 
@@ -876,7 +862,7 @@ mod tests {
         // Regression: re-sending an unmodified source buffer (retransmit,
         // constant payload) over a range that an overlapping install
         // touched in between must behave as a fresh write, not be
-        // shadowed by the older overlapping patch.
+        // shadowed by the older overlapping install.
         let src = GuestMem::new();
         let dst = GuestMem::new();
         let a = src.alloc_from(b"AAAA");
@@ -919,24 +905,25 @@ mod tests {
     }
 
     #[test]
-    fn in_order_fragments_coalesce_into_one_patch() {
+    fn in_order_fragments_coalesce_into_one_extent() {
         let dst = GuestMem::new();
         let dr = dst.alloc(16 << 10, 0);
         let payload = PayloadSeg::from(pattern(10_000));
         for (off, frag) in fragments(&payload, 1024) {
             dst.install(dr.addr + 64 + off as u64, &frag).unwrap();
-            assert_eq!(dst.inner.borrow().chunks[0].patches.len(), 1);
+            // The fill before it, the message so far, the fill after it.
+            assert_eq!(dst.inner.borrow().chunks[0].extents.len(), 3);
         }
         let landed = |k: usize| {
-            let p = &dst.inner.borrow().chunks[0].patches[k];
-            (p.offset, p.seg.len())
+            let e = &dst.inner.borrow().chunks[0].extents[k];
+            (e.offset, e.seg.len())
         };
-        assert_eq!(landed(0), (64, 10_000));
+        assert_eq!(landed(1), (64, 10_000));
         // The same offsets cut from another buffer continue nothing.
         let other = PayloadSeg::from(vec![9u8; 10_100]);
         dst.install(dr.addr + 10_064, &other.slice(10_000, 100))
             .unwrap();
-        assert_eq!(landed(1), (10_064, 100));
+        assert_eq!(landed(2), (10_064, 100));
         let got = dst.read(dr.addr + 64, 10_100).unwrap();
         assert_eq!(got, [&payload[..], &[9u8; 100][..]].concat());
     }
@@ -945,7 +932,7 @@ mod tests {
     fn whole_range_read_shares_the_senders_buffer() {
         let dst = GuestMem::new();
         let dr = dst.alloc(16 << 10, 0);
-        let before = thread_cow_stats();
+        let before = thread_copy_stats();
         let payload = PayloadSeg::from(pattern(10_000));
         for (off, frag) in fragments(&payload, 1024) {
             dst.install(dr.addr + off as u64, &frag).unwrap();
@@ -953,18 +940,26 @@ mod tests {
         let got = dst.read(dr.addr, 10_000).unwrap();
         assert_eq!(got.as_ptr(), payload.as_ptr(), "no copy: the same bytes");
         assert_eq!(got, payload);
-        assert_eq!(thread_cow_stats(), before, "no COW copy, no merge");
+        assert_eq!(thread_copy_stats(), before, "no gather, no compaction");
     }
 
     #[test]
     fn out_of_order_and_duplicate_fragments_read_back_exactly() {
         let payload = PayloadSeg::from(pattern(12_000));
         let frags = fragments(&payload, 1000);
-        // Reversed, interleaved and repeated arrivals of one message.
-        let orders: [Vec<usize>; 3] = [
+        let rng = cord_sim::DetRng::from_seed(7);
+        let mut shuffled: Vec<usize> = (0..12).collect();
+        for i in (1..12).rev() {
+            shuffled.swap(i, rng.uniform_range(0, i as u64 + 1) as usize);
+        }
+        // Reversed, interleaved, repeated and shuffled arrivals of one
+        // message: each fuses into one extent, so the whole-message read
+        // is the sender's buffer, with no copy.
+        let orders: [Vec<usize>; 4] = [
             (0..12).rev().collect(),
             vec![0, 2, 1, 4, 3, 6, 5, 8, 7, 10, 9, 11],
             vec![0, 1, 1, 3, 2, 2, 5, 4, 0, 6, 7, 9, 8, 11, 10, 11],
+            shuffled,
         ];
         for order in orders {
             let dst = GuestMem::new();
@@ -973,84 +968,193 @@ mod tests {
                 let (off, frag) = &frags[i];
                 dst.install(dr.addr + *off as u64, frag).unwrap();
             }
-            assert_eq!(dst.read_region(dr).unwrap(), payload, "order {order:?}");
+            let extents = dst.inner.borrow().chunks[0].extents.len();
+            assert_eq!(extents, 1, "order {order:?}");
+            let got = dst.read_region(dr).unwrap();
+            assert_eq!(got.as_ptr(), payload.as_ptr(), "order {order:?}");
+            assert_eq!(got, payload);
             assert_eq!(dst.read(dr.addr + 999, 2).unwrap(), payload.slice(999, 2));
+            assert_eq!(dst.copy_stats(), CopyStats::default(), "order {order:?}");
         }
     }
 
     #[test]
-    fn fully_covered_patch_is_dropped() {
+    fn fill_and_write_over_a_landed_message_copy_nothing() {
+        let dst = GuestMem::new();
+        let dr = dst.alloc(4096, 0xEE);
+        let payload = PayloadSeg::from(pattern(1000));
+        let mut want = vec![0xEE; 4096];
+        for (off, frag) in fragments(&payload, 256) {
+            dst.install(dr.addr + 100 + off as u64, &frag).unwrap();
+        }
+        want[100..1100].copy_from_slice(&payload);
+        // A write into the message, one across its end, and a scrub of the
+        // whole message, as an RPC client scrubs each landed response.
+        dst.write(dr.addr + 500, &[1; 100]).unwrap();
+        want[500..600].fill(1);
+        dst.write(dr.addr + 1050, &[2; 100]).unwrap();
+        want[1050..1150].fill(2);
+        assert_eq!(dst.read(dr.addr + 1050, 100).unwrap(), vec![2; 100]);
+        dst.fill(dr.slice(100, 1000), 0).unwrap();
+        want[100..1100].fill(0);
+        assert_eq!(dst.read(dr.addr + 100, 1000).unwrap(), vec![0; 1000]);
+        assert_eq!(dst.copy_stats(), CopyStats::default());
+        assert_eq!(dst.read_region(dr).unwrap(), want);
+    }
+
+    #[test]
+    fn fully_covered_extent_is_dropped() {
         let dst = GuestMem::new();
         let dr = dst.alloc(256, 0);
         let small = PayloadSeg::from(vec![1u8; 16]);
         dst.install(dr.addr + 32, &small).unwrap();
-        assert_eq!(Rc::strong_count(&small.data), 2, "the patch pins it");
+        assert_eq!(Rc::strong_count(&small.data), 2, "the extent pins it");
         let big = PayloadSeg::from(vec![2u8; 128]);
         dst.install(dr.addr, &big).unwrap();
-        assert_eq!(dst.inner.borrow().chunks[0].patches.len(), 1);
-        assert_eq!(Rc::strong_count(&small.data), 1, "dropped, not merged");
-        assert_eq!(dst.cow_stats(), CowStats::default());
+        assert_eq!(dst.inner.borrow().chunks[0].extents.len(), 2);
+        assert_eq!(Rc::strong_count(&small.data), 1, "dropped, not copied");
+        assert_eq!(dst.copy_stats(), CopyStats::default());
         assert_eq!(dst.read(dr.addr + 32, 16).unwrap(), vec![2u8; 16]);
     }
 
     #[test]
-    fn older_patches_merge_once_they_pin_more_than_the_chunk() {
+    fn chunk_compacts_once_older_extents_pin_twice_its_bytes() {
         let dst = GuestMem::new();
         let dr = dst.alloc(1000, 0);
-        // Each install keeps 100 bytes of a 400-byte buffer: the third
-        // leaves 800 pinned by older patches, the fourth 1200 > 1000.
+        // Each install keeps 100 bytes of a 400-byte buffer. Besides the
+        // newest buffer, the third leaves the 1000 B fill buffer and two
+        // 400 B buffers alive (1800 B), the fourth 2200 B > 2 × 1000 B.
         let bufs: Vec<PayloadSeg> = (0..4u8)
             .map(|i| PayloadSeg::from(vec![i + 1; 400]))
             .collect();
         for (i, buf) in bufs.iter().enumerate() {
             dst.install(dr.addr + 100 * i as u64, &buf.slice(0, 100))
                 .unwrap();
+            assert_eq!(dst.copy_stats().copies, u64::from(i == 3), "install {i}");
         }
-        let merged = CowStats {
-            merges: 1,
-            merge_bytes: 300,
-            ..CowStats::default()
-        };
-        assert_eq!(dst.cow_stats(), merged);
-        assert_eq!(dst.inner.borrow().chunks[0].patches.len(), 1, "newest kept");
+        // The compaction copies the chunk, and the newest extent stays a
+        // view of its own buffer; the older buffers are released.
+        assert_eq!(dst.copy_stats(), CopyStats::one(1000));
+        {
+            let inner = dst.inner.borrow();
+            let extents = &inner.chunks[0].extents;
+            assert_eq!(extents.len(), 3, "fresh, newest, fresh");
+            assert!(Rc::ptr_eq(&extents[1].seg.data, &bufs[3].data));
+        }
+        assert!(bufs[..3].iter().all(|b| Rc::strong_count(&b.data) == 1));
         let want = [[1u8; 100], [2; 100], [3; 100], [4; 100]].concat();
         assert_eq!(dst.read(dr.addr, 400).unwrap(), want);
     }
 
     #[test]
-    fn cow_copies_one_slot_not_the_pool() {
+    fn random_mutations_keep_the_chunk_within_its_bounds() {
+        let rng = cord_sim::DetRng::from_seed(0xE87E);
         let m = GuestMem::new();
-        let before = thread_cow_stats();
+        let r = m.alloc(4096, 0);
+        let mut want = vec![0u8; 4096];
+        let shared = PayloadSeg::from(pattern(8192));
+        for step in 0..5000 {
+            let max = if rng.uniform_range(0, 2) == 0 {
+                16
+            } else {
+                600
+            };
+            let len = rng.uniform_range(1, max) as usize;
+            let off = rng.uniform_range(0, (4096 - len) as u64 + 1) as usize;
+            let at = r.addr + off as u64;
+            let bytes: Vec<u8> = match rng.uniform_range(0, 4) {
+                // A fragment of a buffer larger than the chunk.
+                0 => {
+                    let from = rng.uniform_range(0, (8192 - len) as u64 + 1) as usize;
+                    m.install(at, &shared.slice(from, len)).unwrap();
+                    shared[from..from + len].to_vec()
+                }
+                // A slice of an owned buffer.
+                1 => {
+                    let buf = PayloadSeg::from(pattern(len + step % 64));
+                    m.install(at, &buf.slice(step % 64, len)).unwrap();
+                    buf[step % 64..].to_vec()
+                }
+                2 => {
+                    let data = vec![step as u8; len];
+                    m.write(at, &data).unwrap();
+                    data
+                }
+                _ => {
+                    m.fill(r.slice(off, len), step as u8).unwrap();
+                    vec![step as u8; len]
+                }
+            };
+            want[off..off + len].copy_from_slice(&bytes);
+            let inner = m.inner.borrow();
+            let chunk = &inner.chunks[0];
+            assert!(chunk.extents.len() <= MAX_EXTENTS, "step {step}");
+            let newest = &chunk.extents[chunk.find(off)].seg.data;
+            let mut bufs: Vec<&Rc<Vec<u8>>> = chunk
+                .extents
+                .iter()
+                .map(|e| &e.seg.data)
+                .filter(|b| !Rc::ptr_eq(b, newest))
+                .collect();
+            bufs.sort_by_key(|b| Rc::as_ptr(b));
+            bufs.dedup_by(|a, b| Rc::ptr_eq(a, b));
+            let pinned: usize = bufs.iter().map(|b| b.len()).sum();
+            assert!(pinned <= 2 * 4096, "step {step}: {pinned} B pinned");
+        }
+        assert!(m.copy_stats().copies > 0, "the bounds were reached");
+        assert_eq!(m.read_region(r).unwrap(), want);
+    }
+
+    #[test]
+    fn pool_slots_share_one_fill_buffer_until_written() {
+        let m = GuestMem::new();
+        let pool = m.alloc_slots(4, 16, 5);
+        let slot = |i: u64| m.read(pool.addr + 16 * i, 16).unwrap();
+        let first = slot(0);
+        assert!((1..4).all(|i| slot(i).as_ptr() == first.as_ptr()));
+        assert_eq!(
+            Rc::strong_count(&first.data),
+            4 + 1,
+            "four slots and `first`"
+        );
+        m.write(pool.addr + 32, &[6; 16]).unwrap();
+        assert_eq!(Rc::strong_count(&first.data), 3 + 1);
+        assert_eq!(slot(2), vec![6; 16]);
+        assert!([0, 1, 3]
+            .iter()
+            .all(|&i| slot(i).as_ptr() == first.as_ptr()));
+        assert_eq!(m.copy_stats(), CopyStats::default());
+    }
+
+    #[test]
+    fn compaction_copies_one_slot_not_the_pool() {
+        let m = GuestMem::new();
+        let before = thread_copy_stats();
         let pool = m.alloc_slots(4, 8, 7);
         assert_eq!(pool.addr, GUEST_BASE);
         assert_eq!((pool.len, m.allocated()), (32, 32));
-        // A segment pins slot 1: rewriting it copies that slot alone, and
-        // rewriting the unpinned slot 2 copies nothing.
-        let held = m.read(pool.addr + 8, 8).unwrap();
-        m.write(pool.addr + 8, &[1; 8]).unwrap();
-        m.write(pool.addr + 16, &[2; 8]).unwrap();
-        let one = CowStats {
-            copies: 1,
-            bytes: 8,
-            ..CowStats::default()
+        // Two bytes of two 100-byte buffers pin more than twice an 8-byte
+        // slot: compacting copies slot 1 alone, and writing the whole of
+        // slot 2 copies nothing.
+        let pin_two_bytes = |at: u64| {
+            for k in 0..2 {
+                let buf = PayloadSeg::from(vec![1; 100]);
+                m.install(at + k, &buf.slice(0, 1)).unwrap();
+            }
         };
-        assert_eq!(m.cow_stats(), one);
-        assert_eq!(held, vec![7; 8]);
-        let want = [[7u8; 8], [1; 8], [2; 8], [7; 8]].concat();
-        assert_eq!(m.read_region(pool).unwrap(), want);
+        pin_two_bytes(pool.addr + 8);
+        m.write(pool.addr + 16, &[2; 8]).unwrap();
+        assert_eq!(m.copy_stats(), CopyStats::one(8));
         // One allocation of the pool's size copies all of it.
         let flat = m.alloc(32, 0);
-        let _pin = m.read(flat.addr, 1).unwrap();
-        m.write(flat.addr + 8, &[1]).unwrap();
-        let total = CowStats {
-            copies: 2,
-            bytes: 8 + 32,
-            ..CowStats::default()
-        };
-        assert_eq!(m.cow_stats(), total);
-        let after = thread_cow_stats();
+        pin_two_bytes(flat.addr + 8);
+        let total = CopyStats::one(8) + CopyStats::one(32);
+        assert_eq!(m.copy_stats(), total);
+        let after = thread_copy_stats();
         let thread = (after.copies - before.copies, after.bytes - before.bytes);
         assert_eq!(thread, (total.copies, total.bytes));
+        let want = [[7u8; 8], [1, 1, 7, 7, 7, 7, 7, 7], [2; 8], [7; 8]].concat();
+        assert_eq!(m.read_region(pool).unwrap(), want);
     }
 
     #[test]

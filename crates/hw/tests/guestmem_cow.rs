@@ -1,4 +1,4 @@
-//! Property test: the copy-on-write [`GuestMem`] is observationally
+//! Property test: the extent-map [`GuestMem`] is observationally
 //! identical to a naive flat-buffer model that copies on every access.
 //!
 //! A DetRng-driven op sequence (alloc / slot-pool alloc / write / fill /
@@ -11,12 +11,14 @@
 //! 2. **Snapshot stability** — a [`PayloadSeg`] returned by an earlier
 //!    read continues to expose the bytes as they were at read time, no
 //!    matter how many overlapping writes/installs/fills happen afterwards
-//!    (this is the guarantee the old copying `read` gave for free and COW
-//!    must preserve).
-//! 3. **Copies stay allocation-sized** — no copy-on-write copy clones
-//!    more than the largest single allocation (one slot of a pool).
+//!    (the guarantee a copying `read` gives for free, and which immutable
+//!    extents must preserve).
+//! 3. **Copies stay small** — every copy the arena counts (a gather of a
+//!    range several extents cut, or a compaction of a chunk past its
+//!    bounds) is at most one allocation (one slot of a pool) or one read's
+//!    length.
 
-use cord_hw::{GuestMem, PayloadSeg, GUEST_BASE};
+use cord_hw::{CopyStats, GuestMem, PayloadSeg, GUEST_BASE};
 use cord_sim::DetRng;
 
 /// Naive reference: one contiguous buffer per arena, every op a copy.
@@ -59,25 +61,37 @@ impl NaiveMem {
     }
 }
 
-/// One arena pair (COW implementation + reference) plus the live
+/// One arena pair (extent-map implementation + reference) plus the live
 /// snapshots whose stability we keep asserting.
 struct Arena {
-    cow: GuestMem,
+    mem: GuestMem,
     naive: NaiveMem,
     /// (segment, bytes it must keep showing forever).
     snapshots: Vec<(PayloadSeg, Vec<u8>)>,
     /// Largest single allocation (a pool counts one slot).
     max_alloc: usize,
+    /// Longest read of the current step.
+    max_read: usize,
+    /// Copies counted up to the previous step.
+    copies: CopyStats,
 }
 
 impl Arena {
     fn new() -> Self {
         Arena {
-            cow: GuestMem::new(),
+            mem: GuestMem::new(),
             naive: NaiveMem::new(),
             snapshots: Vec::new(),
             max_alloc: 0,
+            max_read: 0,
+            copies: CopyStats::default(),
         }
+    }
+
+    /// Read through the implementation, noting the length for property 3.
+    fn read(&mut self, addr: u64, len: usize) -> PayloadSeg {
+        self.max_read = self.max_read.max(len);
+        self.mem.read(addr, len).unwrap()
     }
 
     /// A random in-bounds (addr, len) range; None while empty.
@@ -97,18 +111,25 @@ impl Arena {
             assert_eq!(
                 &seg[..],
                 &expect[..],
-                "snapshot {i} mutated by step {step}: COW broke read stability"
+                "snapshot {i} mutated by step {step}: a shared buffer was written"
             );
         }
     }
 
-    fn check_copy_size(&self, step: usize) {
-        let cow = self.cow.cow_stats();
-        assert!(
-            cow.bytes <= cow.copies * self.max_alloc as u64,
-            "step {step}: {cow:?} copied more than one allocation of at most {} B",
-            self.max_alloc
+    /// Every copy this step made is at most one allocation or one read.
+    fn check_copy_size(&mut self, step: usize) {
+        let now = self.mem.copy_stats();
+        let (copies, bytes) = (
+            now.copies - self.copies.copies,
+            now.bytes - self.copies.bytes,
         );
+        let bound = self.max_alloc.max(self.max_read) as u64;
+        assert!(
+            bytes <= copies * bound,
+            "step {step}: {copies} copies of {bytes} B, each at most {bound} B"
+        );
+        self.copies = now;
+        self.max_read = 0;
     }
 }
 
@@ -116,7 +137,7 @@ impl Arena {
 fn cow_guestmem_matches_naive_reference_model() {
     let rng = DetRng::from_seed(0xC0B_D5EED);
     // Two arenas so installs exercise the cross-arena zero-copy path the
-    // NIC RX pipeline uses (sender chunk referenced by receiver patches).
+    // NIC RX pipeline uses (sender buffers referenced by receiver extents).
     let mut arenas = [Arena::new(), Arena::new()];
 
     for step in 0..4000 {
@@ -132,9 +153,9 @@ fn cow_guestmem_matches_naive_reference_model() {
                 let a = &mut arenas[which];
                 if a.naive.len() < 16 << 10 {
                     let r = if slots == 1 {
-                        a.cow.alloc(len, fill)
+                        a.mem.alloc(len, fill)
                     } else {
-                        a.cow.alloc_slots(slots, len, fill)
+                        a.mem.alloc_slots(slots, len, fill)
                     };
                     let addr = a.naive.alloc(slots * len, fill);
                     assert_eq!(r.addr, addr, "allocation layout must match");
@@ -147,7 +168,7 @@ fn cow_guestmem_matches_naive_reference_model() {
                 let a = &mut arenas[which];
                 if let Some((addr, len)) = a.random_range(&rng) {
                     let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-                    a.cow.write(addr, &data).unwrap();
+                    a.mem.write(addr, &data).unwrap();
                     a.naive.write(addr, &data);
                 }
             }
@@ -156,7 +177,7 @@ fn cow_guestmem_matches_naive_reference_model() {
                 let a = &mut arenas[which];
                 if let Some((addr, len)) = a.random_range(&rng) {
                     let v = rng.next_u64() as u8;
-                    a.cow.fill(cord_hw::MemRegion { addr, len }, v).unwrap();
+                    a.mem.fill(cord_hw::MemRegion { addr, len }, v).unwrap();
                     a.naive.fill(addr, len, v);
                 }
             }
@@ -172,7 +193,7 @@ fn cow_guestmem_matches_naive_reference_model() {
                 let Some((src_addr, len)) = arenas[src_is].random_range(&rng) else {
                     continue;
                 };
-                let seg = arenas[src_is].cow.read(src_addr, len).unwrap();
+                let seg = arenas[src_is].read(src_addr, len);
                 let bytes = arenas[src_is].naive.read(src_addr, len);
                 assert_eq!(&seg[..], &bytes[..], "pre-install read diverged");
                 let dst_total = arenas[dst_is].naive.len();
@@ -181,7 +202,7 @@ fn cow_guestmem_matches_naive_reference_model() {
                 }
                 let dst_start = rng.uniform_range(0, (dst_total - len) as u64 + 1);
                 let dst_addr = GUEST_BASE + dst_start;
-                arenas[dst_is].cow.install(dst_addr, &seg).unwrap();
+                arenas[dst_is].mem.install(dst_addr, &seg).unwrap();
                 arenas[dst_is].naive.write(dst_addr, &bytes);
             }
             // Installs of an owned buffer, as a send stages its payload.
@@ -189,7 +210,7 @@ fn cow_guestmem_matches_naive_reference_model() {
                 let a = &mut arenas[which];
                 if let Some((addr, len)) = a.random_range(&rng) {
                     let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-                    a.cow
+                    a.mem
                         .install(addr, &PayloadSeg::from(data.clone()))
                         .unwrap();
                     a.naive.write(addr, &data);
@@ -206,12 +227,11 @@ fn cow_guestmem_matches_naive_reference_model() {
                     continue;
                 }
                 let (seg, bytes) = if rng.uniform_range(0, 2) == 0 {
-                    let src = &arenas[1 - which];
+                    let src = &mut arenas[1 - which];
                     match src.random_range(&rng) {
-                        Some((src_addr, src_len)) if src_len >= len => (
-                            src.cow.read(src_addr, len).unwrap(),
-                            src.naive.read(src_addr, len),
-                        ),
+                        Some((src_addr, src_len)) if src_len >= len => {
+                            (src.read(src_addr, len), src.naive.read(src_addr, len))
+                        }
                         _ => continue,
                     }
                 } else {
@@ -234,7 +254,7 @@ fn cow_guestmem_matches_naive_reference_model() {
                 }
                 let a = &mut arenas[which];
                 for (off, n) in frags {
-                    a.cow
+                    a.mem
                         .install(addr + off as u64, &seg.slice(off, n))
                         .unwrap();
                 }
@@ -244,7 +264,7 @@ fn cow_guestmem_matches_naive_reference_model() {
             _ => {
                 let a = &mut arenas[which];
                 if let Some((addr, len)) = a.random_range(&rng) {
-                    let seg = a.cow.read(addr, len).unwrap();
+                    let seg = a.read(addr, len);
                     let expect = a.naive.read(addr, len);
                     assert_eq!(&seg[..], &expect[..], "read diverged at step {step}");
                     if a.snapshots.len() < 64 && rng.uniform_range(0, 4) == 0 {
@@ -257,7 +277,7 @@ fn cow_guestmem_matches_naive_reference_model() {
                 }
             }
         }
-        for a in &arenas {
+        for a in &mut arenas {
             a.check_snapshots(step);
             a.check_copy_size(step);
         }
@@ -266,7 +286,7 @@ fn cow_guestmem_matches_naive_reference_model() {
     // Final sweep: whole-arena reads must match the reference exactly.
     for (i, a) in arenas.iter().enumerate() {
         if a.naive.len() > 0 {
-            let got = a.cow.read(GUEST_BASE, a.naive.len()).unwrap();
+            let got = a.mem.read(GUEST_BASE, a.naive.len()).unwrap();
             assert_eq!(&got[..], &a.naive.buf[..], "arena {i} final state");
         }
     }

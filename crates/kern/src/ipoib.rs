@@ -37,6 +37,10 @@ pub enum IpoibError {
     NoRoute(usize),
     /// Unknown destination socket (delivered but dropped at the receiver).
     Verbs(VerbsError),
+    /// A message of this many bytes needs more fragments, or a longer
+    /// length, than the packet header's 16-bit fragment count and 32-bit
+    /// length fields can carry.
+    TooLong(usize),
 }
 
 impl std::fmt::Display for IpoibError {
@@ -44,6 +48,9 @@ impl std::fmt::Display for IpoibError {
         match self {
             IpoibError::NoRoute(n) => write!(f, "no route to node {n}"),
             IpoibError::Verbs(e) => write!(f, "verbs error: {e}"),
+            IpoibError::TooLong(len) => {
+                write!(f, "a {len} B message does not fit the IPoIB header")
+            }
         }
     }
 }
@@ -304,10 +311,15 @@ impl Socket {
             .get(&dst.0)
             .ok_or(IpoibError::NoRoute(dst.0))?;
 
+        let ppp = self.stack.payload_per_pkt();
+        let (Ok(nfrags), Ok(total)) = (
+            u16::try_from(data.len().div_ceil(ppp).max(1)),
+            u32::try_from(data.len()),
+        ) else {
+            return Err(IpoibError::TooLong(data.len()));
+        };
         let msg_id = inner.next_msg.get();
         inner.next_msg.set(msg_id.wrapping_add(1));
-        let ppp = self.stack.payload_per_pkt();
-        let nfrags = data.len().div_ceil(ppp).max(1);
         for frag in 0..nfrags {
             // Buffer-pool backpressure (qdisc queue limit).
             let buf_idx = loop {
@@ -318,7 +330,7 @@ impl Socket {
                 }
             };
             let buf = inner.tx_bufs[buf_idx];
-            let off = frag * ppp;
+            let off = usize::from(frag) * ppp;
             let flen = (data.len() - off).min(ppp);
             // Kernel copies user data into the pinned skb (no zero-copy).
             core.memcpy(flen + HDR).await;
@@ -331,19 +343,17 @@ impl Socket {
                 .qdisc
                 .use_for(SimDuration::from_ns_f64(spec.qdisc_ns))
                 .await;
-            let hdr = encode_header(
-                dst.1,
-                self.id,
-                msg_id,
-                frag as u16,
-                nfrags as u16,
-                data.len() as u32,
-                flen as u32,
-            );
-            inner.kern_mem.write(buf.addr, &hdr).expect("pool range");
+            // The frame is built once and installed by reference, so the
+            // NIC's read of it slices one buffer instead of gathering a
+            // header and a payload written apart. (`flen` fits a u32: a
+            // fragment is no longer than its message.)
+            let hdr = encode_header(dst.1, self.id, msg_id, frag, nfrags, total, flen as u32);
+            let mut frame = Vec::with_capacity(HDR + flen);
+            frame.extend_from_slice(&hdr);
+            frame.extend_from_slice(&data[off..off + flen]);
             inner
                 .kern_mem
-                .write(buf.addr + HDR as u64, &data[off..off + flen])
+                .install(buf.addr, &PayloadSeg::from(frame))
                 .expect("pool range");
             // Post on the kernel UD QP; retry on a momentarily full SQ.
             loop {
@@ -505,7 +515,7 @@ async fn softirq_worker(inner: Rc<IpoibInner>, _q: usize, rx: Receiver<Parsed>) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cord_hw::{system_l, CoreId, Dvfs, Noise};
+    use cord_hw::{system_l, CopyStats, CoreId, Dvfs, Noise};
     use cord_nic::build_cluster;
     use cord_sim::Trace;
 
@@ -580,13 +590,40 @@ mod tests {
             a.send_to(&c0, b_addr, &msg(100_000)).await.unwrap();
             b.recv(&c1).await;
         });
-        // Reusing a TX buffer while the receiver still holds its previous
-        // packet copies that one buffer, never the whole pool.
+        // Each frame is staged in one piece, so every fragment read on
+        // either stack slices one frame: nothing is copied, though TX
+        // buffers are reused while the receiver still holds their frames.
         let (frags, _) = s0.counters();
-        let mtu = system_l().ipoib.mtu as u64;
-        let cow = s0.inner.kern_mem.cow_stats();
-        assert!(cow.copies <= frags, "{cow:?} for {frags} fragments");
-        assert_eq!(cow.bytes, cow.copies * mtu, "each copy is one buffer");
+        assert!(frags >= 50, "fragmented into {frags} packets");
+        for stack in [&s0, &s1] {
+            let copies = stack.inner.kern_mem.copy_stats();
+            assert_eq!(copies, CopyStats::default());
+        }
+    }
+
+    #[test]
+    fn messages_the_header_cannot_describe_are_rejected() {
+        // One payload byte per packet: 65,536 fragments overflow the
+        // header's 16-bit fragment count.
+        let mut spec = system_l();
+        spec.ipoib.mtu = HDR + 1;
+        let sim = Sim::new();
+        let nics = build_cluster(&sim, &spec, Trace::disabled());
+        let s0 = IpoibStack::new(&sim, &spec, nics[0].clone());
+        let s1 = IpoibStack::new(&sim, &spec, nics[1].clone());
+        s0.add_neighbor(1, s1.udqpn());
+        let core = Core::new(
+            &sim,
+            CoreId { node: 0, core: 0 },
+            &spec,
+            Dvfs::new(&sim, spec.dvfs.clone()),
+            Noise::disabled(),
+        );
+        let a = s0.socket();
+        let dst = s1.socket().addr();
+        let r = sim.block_on(async move { a.send_to(&core, dst, &msg(65_537)).await });
+        assert_eq!(r, Err(IpoibError::TooLong(65_537)));
+        assert_eq!(s0.counters().0, 0, "no packet left");
     }
 
     #[test]

@@ -319,11 +319,12 @@ fn ring_allreduce_stages_rendezvous_payloads_without_host_copies() {
     // 64 KiB per ring chunk: every step is a rendezvous (RTS/CTS frames
     // through reused eager slots, payload by RDMA write), and three
     // back-to-back allreduces reuse every slot and zone. Staging by
-    // reference must copy nothing on the host: no chunk clone is forced
-    // by a write while fragments or received frames still pin it.
+    // reference must copy nothing on the host: every fragment read slices
+    // one staged buffer, and no slot or zone collects enough extents to
+    // be compacted.
     let p = 4;
     let n = p * 8192;
-    let before = cord_hw::thread_cow_stats();
+    let before = cord_hw::thread_copy_stats();
     run_world(
         MpiTransport::Verbs(Dataplane::Bypass),
         p,
@@ -343,11 +344,11 @@ fn ring_allreduce_stages_rendezvous_payloads_without_host_copies() {
             }
         },
     );
-    let after = cord_hw::thread_cow_stats();
+    let after = cord_hw::thread_copy_stats();
     assert_eq!(
         (after.copies - before.copies, after.bytes - before.bytes),
         (0, 0),
-        "copy-on-write copies during the allreduces"
+        "payload copies during the allreduces"
     );
 }
 

@@ -1381,8 +1381,9 @@ fn handle_cnp(inner: &Rc<NicInner>, qp_rc: &Rc<RefCell<Qp>>) {
 /// asks the QP's receive window ([`RxWindow`](crate::qp::RxWindow)) for a
 /// verdict. The window's acceptance rule is the QP's
 /// [`RetxMode`](crate::qp::RetxMode): under selective repeat fragments
-/// install out of order through the idempotent `GuestMem::install` patch
-/// path and each message ACKs individually on completion; under go-back-N
+/// install out of order (`GuestMem::install` lands each as an extent and
+/// fuses it with its neighbours, so any order leaves the same bytes) and
+/// each message ACKs individually on completion; under go-back-N
 /// only the next fragment in sequence lands. Either way one gap notice (a
 /// SACK naming the first missing message) per episode drives the sender's
 /// replay, and sends bind receive WQEs in strict message order at the

@@ -89,10 +89,11 @@ pub enum RetxMode {
     #[default]
     Gbn,
     /// Selective repeat: the receiver installs out-of-order fragments
-    /// through the idempotent `GuestMem::install` patch path, ACKs each
-    /// message individually as it completes, and NAKs with a SACK bitmap
-    /// so the sender replays only what is actually missing. Required for
-    /// per-packet spray routing, which reorders by design.
+    /// (`GuestMem::install` lands each as an extent and fuses it with its
+    /// neighbours), ACKs each message individually as it completes, and
+    /// NAKs with a SACK bitmap so the sender replays only what is actually
+    /// missing. Required for per-packet spray routing, which reorders by
+    /// design.
     Sr,
 }
 
